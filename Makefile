@@ -4,26 +4,37 @@
 GO ?= go
 BENCH_JSON ?= bench-smoke.json
 BENCH_WIRE_JSON ?= BENCH_wire.json
-BENCH_CACHE_JSON ?= BENCH_cache.json
-BENCH_SCALING_JSON ?= BENCH_scaling.json
-BENCH_CHAOS_JSON ?= BENCH_chaos.json
-BENCH_HOTKEY_JSON ?= BENCH_hotkey.json
-BENCH_RESTART_JSON ?= BENCH_restart.json
-BENCH_BIGRAM_JSON ?= BENCH_bigram.json
-BENCH_UPDATE_JSON ?= BENCH_update.json
-BENCH_STORM_JSON ?= BENCH_storm.json
-BENCH_SESSION_JSON ?= BENCH_session.json
-BENCH_SWARM_JSON ?= BENCH_swarm.json
-BENCH_SWARM_SMOKE_JSON ?= BENCH_swarm_smoke.json
+# Gated scenarios: `make bench-NAME` runs one and holds its report,
+# BENCH_NAME.json (dashes become underscores), against the committed
+# bench/BENCH_NAME_baseline.json; `make bench-NAME-baseline` regenerates that
+# baseline after an intentional behavior change (commit the result). CI
+# loops over SCENARIOS; the 101-process swarm shares the rules but runs
+# nightly. RUN_NAME is the command that produces each report: the figures
+# it passes are pinned by the baseline's spec, so change both together or
+# the gate rejects the pair as different workloads.
+SCENARIOS = cache scaling chaos hotkey restart bigram update storm session swarm-smoke
+GATED = $(SCENARIOS) swarm
+WEBWAVE_BENCH = $(GO) run ./cmd/webwave-bench -seed 1
+RUN_cache = $(WEBWAVE_BENCH) -scenario cache-pressure
+RUN_scaling = $(WEBWAVE_BENCH) -scenario core-scaling -procs $(SCALING_PROCS) -duration $(SCALING_DURATION)
+# The scaling baseline keeps, per core count, the lowest efficiency of
+# three full 1/2/4/8 sweeps: a floor one noisy wall-clock run cannot distort.
+BASELINE_RUN_scaling = $(WEBWAVE_BENCH) -scenario core-scaling -procs 1,2,4,8 -duration 3 -repeat 3
+RUN_chaos = $(WEBWAVE_BENCH) -scenario chaos
+RUN_hotkey = $(WEBWAVE_BENCH) -scenario hot-key
+RUN_restart = $(WEBWAVE_BENCH) -scenario restart -duration $(RESTART_DURATION)
+RUN_bigram = $(WEBWAVE_BENCH) -scenario bigger-than-ram
+RUN_update = $(WEBWAVE_BENCH) -scenario update-heavy
+RUN_storm = $(WEBWAVE_BENCH) -scenario invalidation-storm
+RUN_session = $(WEBWAVE_BENCH) -scenario session
+RUN_swarm = ./bin/webwave-swarm -seed 1
+RUN_swarm-smoke = ./bin/webwave-swarm $(SWARM_SMOKE_FLAGS)
 # The CI-sized swarm: 2 racks x 8 processes, 5-deep tree, rack 0 SIGKILLed
-# mid-run. The committed smoke baseline pins exactly these figures, so the
-# flags and the baseline must change together (regenerate with
-# bench-swarm-smoke-baseline).
+# mid-run.
 SWARM_SMOKE_FLAGS = -seed 1 -racks 2 -rack-nodes 8 -rack-depth 4 \
 	-rate 120 -duration 8 -kill-rack 0
 # The restart scenario replays the chaos workload twice (cold + warm), so
-# the gated schedule is shorter than chaos's; the committed baseline pins
-# this figure — change both together or the spec check fails.
+# the gated schedule is shorter than chaos's.
 RESTART_DURATION ?= 6
 WIRE_THROUGHPUT_JSON ?= wire-throughput.json
 BENCHTIME ?= 0.3s
@@ -41,13 +52,8 @@ COVER_FLOOR ?= 77.0
 
 .PHONY: all build test race fmt vet staticcheck staticcheck-install vulncheck \
 	cover cover-check cover-summary bench-smoke bench-micro bench-wire \
-	bench-cache bench-cache-baseline bench-scaling bench-scaling-baseline \
-	bench-chaos bench-chaos-baseline bench-hotkey bench-hotkey-baseline \
-	bench-restart bench-restart-baseline bench-bigram bench-bigram-baseline \
-	bench-update bench-update-baseline bench-storm bench-storm-baseline \
-	bench-session bench-session-baseline fuzz-smoke \
-	swarm-bins bench-swarm bench-swarm-baseline bench-swarm-smoke \
-	bench-swarm-smoke-baseline docs-check profile clean
+	$(GATED:%=bench-%) $(GATED:%=bench-%-baseline) fuzz-smoke swarm-bins \
+	docs-check profile clean
 
 all: build test
 
@@ -142,133 +148,19 @@ bench-wire:
 	$(GO) run ./cmd/webwave-bench -scenario wire-throughput -seed 1 \
 		-duration 3 -json $(WIRE_THROUGHPUT_JSON)
 
-# bench-cache runs the deterministic cache-pressure scenario (byte-budgeted
-# stores, eviction-policy shoot-out) and gates on hit-rate regressions
-# (>10%) and budget violations against the committed baseline.
-bench-cache:
-	$(GO) run ./cmd/webwave-bench -scenario cache-pressure -seed 1 -json $(BENCH_CACHE_JSON)
-	$(GO) run ./cmd/benchgate -report $(BENCH_CACHE_JSON) \
-		-baseline bench/BENCH_cache_baseline.json -max-regress 0.10
+# The gated scenarios (see SCENARIOS above): run, then gate against the
+# committed baseline; or regenerate that baseline.
+report = BENCH_$(subst -,_,$(1)).json
+baseline = bench/BENCH_$(subst -,_,$(1))_baseline.json
 
-# bench-cache-baseline regenerates the committed baseline after an
-# intentional behavior change; commit the result.
-bench-cache-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario cache-pressure -seed 1 \
-		-json bench/BENCH_cache_baseline.json
+$(GATED:%=bench-%): bench-%:
+	$(RUN_$*) -json $(call report,$*)
+	$(GO) run ./cmd/benchgate -report $(call report,$*) -baseline $(call baseline,$*)
 
-# bench-scaling sweeps GOMAXPROCS over the live TCP stack (the servers'
-# shard-loop count follows the core count) and gates on a >15% drop in
-# per-core scaling efficiency vs the committed baseline. Wall-clock: NOT
-# deterministic; the gate is self-normalized so it ports across hardware.
-bench-scaling:
-	$(GO) run ./cmd/webwave-bench -scenario core-scaling -seed 1 \
-		-procs $(SCALING_PROCS) -duration $(SCALING_DURATION) -json $(BENCH_SCALING_JSON)
-	$(GO) run ./cmd/benchgate -scaling-report $(BENCH_SCALING_JSON) \
-		-scaling-baseline bench/BENCH_scaling_baseline.json -max-scaling-regress 0.15
+$(GATED:%=bench-%-baseline): bench-%-baseline:
+	$(or $(BASELINE_RUN_$*),$(RUN_$*)) -json $(call baseline,$*)
 
-# bench-scaling-baseline regenerates the committed scaling baseline after
-# an intentional behavior change; commit the result. Three full 1/2/4/8
-# sweeps, keeping the lowest efficiency per core count — a conservative
-# floor one noisy wall-clock run cannot distort.
-bench-scaling-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario core-scaling -seed 1 \
-		-procs 1,2,4,8 -duration 3 -repeat 3 -json bench/BENCH_scaling_baseline.json
-
-# bench-chaos runs the chaos scenario (kill/restart 10% of a live cluster's
-# interior nodes mid-run) and gates availability, post-repair fairness and
-# completed repair against the committed baseline. Wall-clock: NOT
-# deterministic; the gate applies thresholds, and the baseline pins the
-# workload so the scenario cannot be quietly shrunk.
-bench-chaos:
-	$(GO) run ./cmd/webwave-bench -scenario chaos -seed 1 -json $(BENCH_CHAOS_JSON)
-	$(GO) run ./cmd/benchgate -chaos-report $(BENCH_CHAOS_JSON) \
-		-chaos-baseline bench/BENCH_chaos_baseline.json
-
-# bench-chaos-baseline regenerates the committed chaos baseline after an
-# intentional behavior change; commit the result.
-bench-chaos-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario chaos -seed 1 \
-		-json bench/BENCH_chaos_baseline.json
-
-# bench-restart replays the chaos workload twice — cold restarts vs warm
-# (disk-tier) restarts — and gates warm post-restart availability, warm
-# reabsorb time, journal recovery (warm_docs >= 1) and zero failed revives
-# against the committed baseline. Wall-clock: NOT deterministic; the gate
-# applies thresholds, and the baseline pins the workload.
-bench-restart:
-	$(GO) run ./cmd/webwave-bench -scenario restart -seed 1 \
-		-duration $(RESTART_DURATION) -json $(BENCH_RESTART_JSON)
-	$(GO) run ./cmd/benchgate -restart-report $(BENCH_RESTART_JSON) \
-		-restart-baseline bench/BENCH_restart_baseline.json
-
-# bench-restart-baseline regenerates the committed restart baseline after an
-# intentional behavior change; commit the result.
-bench-restart-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario restart -seed 1 \
-		-duration $(RESTART_DURATION) -json bench/BENCH_restart_baseline.json
-
-# bench-bigram runs the bigger-than-ram scenario (corpus ~10x every node's
-# memory budget; in-ram vs mem-only vs two-tier passes) and gates two-tier
-# hit-rate retention, the mem-only thrash margin and actual disk serving
-# against the committed baseline. Wall-clock: NOT deterministic.
-bench-bigram:
-	$(GO) run ./cmd/webwave-bench -scenario bigger-than-ram -seed 1 \
-		-json $(BENCH_BIGRAM_JSON)
-	$(GO) run ./cmd/benchgate -bigram-report $(BENCH_BIGRAM_JSON) \
-		-bigram-baseline bench/BENCH_bigram_baseline.json
-
-# bench-bigram-baseline regenerates the committed bigger-than-ram baseline
-# after an intentional behavior change; commit the result.
-bench-bigram-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario bigger-than-ram -seed 1 \
-		-json bench/BENCH_bigram_baseline.json
-
-# bench-update runs the update-heavy scenario (one Poisson schedule twice:
-# read-only control, then a 90/10 read/write mix) and gates p99 response
-# staleness (must stay within one diffusion period) and the hit-rate cost of
-# mutability against the committed baseline. Wall-clock: NOT deterministic;
-# the gate applies thresholds, and the baseline pins the workload.
-bench-update:
-	$(GO) run ./cmd/webwave-bench -scenario update-heavy -seed 1 -json $(BENCH_UPDATE_JSON)
-	$(GO) run ./cmd/benchgate -update-report $(BENCH_UPDATE_JSON) \
-		-update-baseline bench/BENCH_update_baseline.json
-
-# bench-update-baseline regenerates the committed update-heavy baseline
-# after an intentional behavior change; commit the result.
-bench-update-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario update-heavy -seed 1 \
-		-json bench/BENCH_update_baseline.json
-
-# bench-storm runs the invalidation-storm scenario (repeatedly invalidate a
-# promoted hot document, then storm the leaves) and gates the lease
-# collapse: per-write origin fetches bounded by the subtree count, not the
-# client count. Wall-clock: NOT deterministic.
-bench-storm:
-	$(GO) run ./cmd/webwave-bench -scenario invalidation-storm -seed 1 -json $(BENCH_STORM_JSON)
-	$(GO) run ./cmd/benchgate -storm-report $(BENCH_STORM_JSON) \
-		-storm-baseline bench/BENCH_storm_baseline.json
-
-# bench-storm-baseline regenerates the committed invalidation-storm baseline
-# after an intentional behavior change; commit the result.
-bench-storm-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario invalidation-storm -seed 1 \
-		-json bench/BENCH_storm_baseline.json
-
-# bench-session runs the read-my-writes session scenario (one seeded
-# write-then-read-elsewhere schedule twice: session token on the wire, then
-# stripped) and gates the two-sided shape: zero violations with tokens,
-# strictly positive without them, server-side gate actually exercised.
-# Wall-clock: NOT deterministic; the baseline pins the workload.
-bench-session:
-	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 -json $(BENCH_SESSION_JSON)
-	$(GO) run ./cmd/benchgate -session-report $(BENCH_SESSION_JSON) \
-		-session-baseline bench/BENCH_session_baseline.json
-
-# bench-session-baseline regenerates the committed session baseline after an
-# intentional behavior change; commit the result.
-bench-session-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario session -seed 1 \
-		-json bench/BENCH_session_baseline.json
+bench-swarm bench-swarm-baseline bench-swarm-smoke bench-swarm-smoke-baseline: swarm-bins
 
 # fuzz-smoke runs the wire-codec round-trip fuzzer for a bounded slice of CI
 # time: every frame kind, both codec versions, v2 re-encode byte equality.
@@ -277,54 +169,11 @@ bench-session-baseline:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/netproto/
 
-# bench-hotkey runs the deterministic replication-forest model (one
-# document's flash crowd against k=1 vs k=3 trees) and gates the scaling
-# (widest forest must beat the single tree >=2x in throughput), the Jain
-# ratio and the promote/demote round trip against the committed baseline.
-bench-hotkey:
-	$(GO) run ./cmd/webwave-bench -scenario hot-key -seed 1 -json $(BENCH_HOTKEY_JSON)
-	$(GO) run ./cmd/benchgate -hotkey-report $(BENCH_HOTKEY_JSON) \
-		-hotkey-baseline bench/BENCH_hotkey_baseline.json
-
-# bench-hotkey-baseline regenerates the committed hot-key baseline after an
-# intentional behavior change; commit the result.
-bench-hotkey-baseline:
-	$(GO) run ./cmd/webwave-bench -scenario hot-key -seed 1 \
-		-json bench/BENCH_hotkey_baseline.json
-
 # swarm-bins builds the two binaries the multi-process scenario needs: the
 # node binary every swarm process execs, and the runner that spawns them.
 swarm-bins:
 	$(GO) build -o bin/webwave-cluster ./cmd/webwave-cluster
 	$(GO) build -o bin/webwave-swarm ./cmd/webwave-swarm
-
-# bench-swarm launches the headline multi-process swarm — 101 separate OS
-# processes (4 racks x 25 + root, depth-6 tree) over real TCP — SIGKILLs an
-# entire rack mid-run, re-execs it warm, and gates availability, repair,
-# reabsorption, journal recovery and harness hygiene against the committed
-# baseline. Wall-clock AND process-heavy: NOT deterministic; the gate
-# applies thresholds, and the baseline pins the workload shape.
-bench-swarm: swarm-bins
-	./bin/webwave-swarm -seed 1 -json $(BENCH_SWARM_JSON)
-	$(GO) run ./cmd/benchgate -swarm-report $(BENCH_SWARM_JSON) \
-		-swarm-baseline bench/BENCH_swarm_baseline.json
-
-# bench-swarm-baseline regenerates the committed swarm baseline after an
-# intentional behavior change; commit the result.
-bench-swarm-baseline: swarm-bins
-	./bin/webwave-swarm -seed 1 -json bench/BENCH_swarm_baseline.json
-
-# bench-swarm-smoke is the CI-sized form: 17 processes, one rack killed,
-# same gate. Fast enough for every PR; the 101-process form runs nightly.
-bench-swarm-smoke: swarm-bins
-	./bin/webwave-swarm $(SWARM_SMOKE_FLAGS) -json $(BENCH_SWARM_SMOKE_JSON)
-	$(GO) run ./cmd/benchgate -swarm-report $(BENCH_SWARM_SMOKE_JSON) \
-		-swarm-baseline bench/BENCH_swarm_smoke_baseline.json
-
-# bench-swarm-smoke-baseline regenerates the committed smoke baseline; keep
-# SWARM_SMOKE_FLAGS and this baseline in lockstep.
-bench-swarm-smoke-baseline: swarm-bins
-	./bin/webwave-swarm $(SWARM_SMOKE_FLAGS) -json bench/BENCH_swarm_smoke_baseline.json
 
 # docs-check verifies every relative markdown link (and heading anchor) in
 # all top-level markdown and docs/ resolves; CI's docs job runs exactly this.
@@ -338,13 +187,9 @@ docs-check:
 profile:
 	$(GO) run ./cmd/webwave-bench -scenario core-scaling -seed 1 \
 		-procs $(SCALING_PROCS) -duration $(SCALING_DURATION) \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -json $(BENCH_SCALING_JSON)
+		-cpuprofile cpu.pprof -memprofile mem.pprof -json BENCH_scaling.json
 
 clean:
-	rm -f $(BENCH_JSON) $(BENCH_WIRE_JSON) $(BENCH_CACHE_JSON) \
-		$(BENCH_SCALING_JSON) $(BENCH_CHAOS_JSON) $(BENCH_HOTKEY_JSON) \
-		$(BENCH_RESTART_JSON) $(BENCH_BIGRAM_JSON) \
-		$(BENCH_UPDATE_JSON) $(BENCH_STORM_JSON) $(BENCH_SESSION_JSON) \
-		$(BENCH_SWARM_JSON) $(BENCH_SWARM_SMOKE_JSON) \
+	rm -f $(BENCH_JSON) $(BENCH_WIRE_JSON) $(foreach n,$(GATED),$(call report,$(n))) \
 		$(WIRE_THROUGHPUT_JSON) bench-micro.out cpu.pprof mem.pprof coverage.out
 	rm -rf bin

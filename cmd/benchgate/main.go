@@ -1,893 +1,89 @@
-// Command benchgate compares freshly produced webwave-bench reports
-// against committed baselines and fails (exit 1) on regressions. Two gates
-// are implemented; CI runs both so a regression breaks the build instead
-// of the tail latency of some future long-haul run:
+// Command benchgate holds a freshly produced benchmark report against its
+// committed baseline and fails (exit 1) on a regression, so a regression
+// breaks the build instead of the tail latency of some future long-haul run.
 //
-//   - Cache (-report/-baseline): a system's hit rate dropping more than the
-//     allowed fraction below the baseline, a budgeted system exceeding its
-//     byte budget, or a system present in the baseline vanishing from the
-//     report.
-//
-//   - Core scaling (-scaling-report/-scaling-baseline): the multi-core
-//     serving efficiency — req/s-per-core normalized by the same sweep's
-//     1-proc throughput — dropping more than the allowed fraction below the
-//     baseline at any common core count. The normalization makes the gate
-//     portable across hardware: a committed baseline from one machine still
-//     bounds the *shape* of the scaling curve on another, where gating raw
-//     req/s would only measure whose CPU is newer. Absolute per-core drops
-//     are printed as warnings, not failures, for the same reason.
-//
-//   - Hot-key (-hotkey-report/-hotkey-baseline): the replication-forest
-//     floor. The committed baseline pins the workload (spec mismatch fails);
-//     the report must then show the widest forest beating the single tree by
-//     at least -min-scaling in throughput on the single-document flash crowd
-//     while keeping Jain fairness at least -min-hotkey-jain-ratio of the
-//     k=1 run, and every multi-tree run must complete a promote/demote
-//     round trip — promotion during the ramp AND demotion after the decay,
-//     so the hysteresis can never be satisfied by a forest that promotes
-//     and sticks.
-//
-//   - Chaos (-chaos-report/-chaos-baseline): the fault-tolerance floor. The
-//     committed baseline pins the workload (spec mismatch fails, so the
-//     scenario cannot be silently shrunk until it passes); the report must
-//     then clear absolute thresholds: availability under the interior-node
-//     kills at least -min-availability, post-repair Jain within the allowed
-//     ratio of the same schedule's no-failure run, at least one observed
-//     failover, nobody left orphaned at the end, and zero failed revives.
-//     Thresholds rather than byte comparison because the run is wall-clock.
-//
-//   - Restart (-restart-report/-restart-baseline): the warm-restart floor.
-//     The committed baseline pins the workload; the warm pass must then
-//     answer at least -min-warm-availability of the schedule offered after
-//     the revival instant, reabsorb within -max-warm-reabsorb seconds (or
-//     within one failure-detection window of the same report's cold pass —
-//     the figure is wall-clock and quantized by the heartbeat detector, so
-//     the relative bound is the honest one on a loaded or jittery CI box),
-//     actually recover documents from its journals (warm_docs >= 1,
-//     otherwise the tier silently did nothing and the pass degenerates to a
-//     second cold run), and revive every victim in both passes.
-//
-//   - Update-heavy (-update-report/-update-baseline): the mutability floor.
-//     The committed baseline pins the workload (spec mismatch fails); the
-//     report's write-mix pass must then answer everything, actually write
-//     (writes >= 1, every post-write response staleness-sampled, at least
-//     one republish applied somewhere), keep the p99 response staleness at
-//     or under -max-p99-staleness (default 0 = one diffusion period, read
-//     from the report — a write must diffuse within a propagation tick),
-//     and cost at most -max-hitrate-cost of the read-only control's hit
-//     rate. Thresholds rather than byte comparison because the run is
-//     wall-clock.
-//
-//   - Invalidation-storm (-storm-report/-storm-baseline): the lease floor.
-//     The committed baseline pins the workload; the storm must then answer
-//     every burst read, exercise the leases (lease refreshes >= 1, at least
-//     one invalidation applied), complete the warm-up promotion when a
-//     forest is configured, and collapse the per-write origin load: origin
-//     fetches per write at most -max-origin-factor times the subtree count
-//     (O(subtrees), not O(clients)) and upstream forwards per write at most
-//     -max-forward-fraction of the client count (no thundering herd).
-//
-//   - Session (-session-report/-session-baseline): the read-my-writes
-//     floor. The committed baseline pins the workload; the token arm must
-//     then answer every read with ZERO violations (the guarantee holds end
-//     to end) while the token-less arm of the identical schedule shows
-//     strictly positive violations — a zero there means the schedule went
-//     soft and stopped provoking the races the tokens exist to close, so
-//     the gate fails rather than vacuously passing. The token arm must also
-//     have exercised the server-side gate (session refreshes >= 1).
-//
-//   - Bigger-than-ram (-bigram-report/-bigram-baseline): the disk-tier
-//     floor. The committed baseline pins the workload (a corpus that fits in
-//     memory would gate nothing); two-tier's hit rate must stay within
-//     -max-twotier-regress of the in-ram ceiling, memory-only must lose at
-//     least -min-drop-ratio times more hit rate than two-tier (the thrash is
-//     real AND the fix is real — a gentle workload where nothing thrashes
-//     fails the gate rather than vacuously passing it), and two-tier must
-//     actually serve from disk (disk_hits > 0).
-//
-//   - Swarm (-swarm-report/-swarm-baseline): the multi-process scale-out
-//     floor. The committed baseline pins the swarm shape (racks, rack size,
-//     spine depth, kill schedule); the report must then survive the
-//     whole-rack SIGKILL with availability at least -min-swarm-availability,
-//     repair and re-whole the tree within the run, move duty (absorbed by
-//     survivors and reclaimed by the revived rack), recover documents from
-//     journals on the re-exec (warm, not cold), and keep the harness clean:
-//     zero failed revives, zero forced teardowns, scrape errors bounded.
+// It reads the report's "schema", decodes both documents into the matching
+// report type, and prints one line per check — "ok", "FAIL" or "warn" (a
+// warning never fails the gate) — before exiting. The checks and their
+// thresholds live with the report type in internal/workload (the Checks
+// method of each report). A baseline of a different schema, or one that
+// pins a different workload, is an error: regenerate the baseline.
 //
 // Usage:
 //
-//	benchgate -report BENCH_cache.json -baseline bench/BENCH_cache_baseline.json [-max-regress 0.10]
-//	benchgate -scaling-report BENCH_scaling.json -scaling-baseline bench/BENCH_scaling_baseline.json [-max-scaling-regress 0.15]
-//	benchgate -chaos-report BENCH_chaos.json -chaos-baseline bench/BENCH_chaos_baseline.json [-min-availability 0.95] [-min-jain-ratio 0.90]
-//	benchgate -hotkey-report BENCH_hotkey.json -hotkey-baseline bench/BENCH_hotkey_baseline.json [-min-scaling 2.0] [-min-hotkey-jain-ratio 0.90]
-//	benchgate -restart-report BENCH_restart.json -restart-baseline bench/BENCH_restart_baseline.json [-min-warm-availability 0.981] [-max-warm-reabsorb 0.06]
-//	benchgate -bigram-report BENCH_bigram.json -bigram-baseline bench/BENCH_bigram_baseline.json [-max-twotier-regress 0.10] [-min-drop-ratio 2.0]
-//	benchgate -update-report BENCH_update.json -update-baseline bench/BENCH_update_baseline.json [-max-p99-staleness 0] [-max-hitrate-cost 0.10]
-//	benchgate -storm-report BENCH_storm.json -storm-baseline bench/BENCH_storm_baseline.json [-max-origin-factor 4.0] [-max-forward-fraction 0.5]
-//	benchgate -session-report BENCH_session.json -session-baseline bench/BENCH_session_baseline.json
+//	benchgate -report BENCH_chaos.json -baseline bench/BENCH_chaos_baseline.json
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"webwave/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
-	reportPath := fs.String("report", "", "cache report JSON produced by this run")
-	basePath := fs.String("baseline", "", "committed cache baseline report JSON")
-	maxRegress := fs.Float64("max-regress", 0.10, "max allowed fractional hit-rate drop vs baseline")
-	scalingPath := fs.String("scaling-report", "", "core-scaling report JSON produced by this run")
-	scalingBasePath := fs.String("scaling-baseline", "", "committed core-scaling baseline JSON")
-	maxScalingRegress := fs.Float64("max-scaling-regress", 0.15, "max allowed fractional per-core efficiency drop vs baseline")
-	chaosPath := fs.String("chaos-report", "", "chaos report JSON produced by this run")
-	chaosBasePath := fs.String("chaos-baseline", "", "committed chaos baseline JSON (pins the workload)")
-	minAvailability := fs.Float64("min-availability", 0.95, "chaos: minimum served/offered under the scheduled kills")
-	minJainRatio := fs.Float64("min-jain-ratio", 0.90, "chaos: minimum post-repair Jain relative to the no-failure run")
-	hotkeyPath := fs.String("hotkey-report", "", "hot-key report JSON produced by this run")
-	hotkeyBasePath := fs.String("hotkey-baseline", "", "committed hot-key baseline JSON (pins the workload)")
-	minScaling := fs.Float64("min-scaling", 2.0, "hot-key: minimum widest-forest/k=1 throughput ratio")
-	minHotkeyJainRatio := fs.Float64("min-hotkey-jain-ratio", 0.90, "hot-key: minimum widest-forest Jain relative to the k=1 run")
-	restartPath := fs.String("restart-report", "", "restart-warmth report JSON produced by this run")
-	restartBasePath := fs.String("restart-baseline", "", "committed restart baseline JSON (pins the workload)")
-	minWarmAvail := fs.Float64("min-warm-availability", 0.981, "restart: minimum warm-pass post-restart availability")
-	maxWarmReabsorb := fs.Float64("max-warm-reabsorb", 0.06, "restart: warm reabsorb ceiling in seconds (relaxed when cold is slower)")
-	bigramPath := fs.String("bigram-report", "", "bigger-than-ram report JSON produced by this run")
-	bigramBasePath := fs.String("bigram-baseline", "", "committed bigger-than-ram baseline JSON (pins the workload)")
-	maxTwoTierRegress := fs.Float64("max-twotier-regress", 0.10, "bigram: max allowed fractional two-tier hit-rate drop vs the in-ram ceiling")
-	minDropRatio := fs.Float64("min-drop-ratio", 2.0, "bigram: memory-only hit drop must be at least this multiple of two-tier's")
-	minMemOnlyDrop := fs.Float64("min-memonly-drop", 0.10, "bigram: minimum memory-only hit drop (proves the corpus really exceeds memory)")
-	updatePath := fs.String("update-report", "", "update-heavy report JSON produced by this run")
-	updateBasePath := fs.String("update-baseline", "", "committed update-heavy baseline JSON (pins the workload)")
-	maxP99Staleness := fs.Float64("max-p99-staleness", 0, "update: p99 staleness ceiling in seconds (0 = one diffusion period from the report)")
-	maxHitRateCost := fs.Float64("max-hitrate-cost", 0.10, "update: max fractional hit-rate drop of the write mix vs the read-only control")
-	swarmPath := fs.String("swarm-report", "", "swarm report JSON produced by this run")
-	swarmBasePath := fs.String("swarm-baseline", "", "committed swarm baseline JSON (pins the workload)")
-	minSwarmAvail := fs.Float64("min-swarm-availability", 0.95, "swarm: minimum served/offered under the whole-rack kill")
-	stormPath := fs.String("storm-report", "", "invalidation-storm report JSON produced by this run")
-	stormBasePath := fs.String("storm-baseline", "", "committed invalidation-storm baseline JSON (pins the workload)")
-	maxOriginFactor := fs.Float64("max-origin-factor", 4.0, "storm: per-write origin fetches ceiling as a multiple of the subtree count")
-	maxForwardFraction := fs.Float64("max-forward-fraction", 0.5, "storm: per-write upstream forwards ceiling as a fraction of the client count")
-	sessionPath := fs.String("session-report", "", "session report JSON produced by this run")
-	sessionBasePath := fs.String("session-baseline", "", "committed session baseline JSON (pins the workload)")
+	reportPath := fs.String("report", "", "report JSON produced by this run")
+	basePath := fs.String("baseline", "", "committed baseline JSON of the same schema")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ranAny := false
-	if *reportPath != "" || *basePath != "" {
-		if *reportPath == "" || *basePath == "" {
-			return fmt.Errorf("both -report and -baseline are required")
-		}
-		rep, err := load(*reportPath)
-		if err != nil {
-			return err
-		}
-		base, err := load(*basePath)
-		if err != nil {
-			return err
-		}
-		if err := gate(rep, base, *maxRegress, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
+	if *reportPath == "" || *basePath == "" {
+		return fmt.Errorf("both -report and -baseline are required")
 	}
-	if *scalingPath != "" || *scalingBasePath != "" {
-		if *scalingPath == "" || *scalingBasePath == "" {
-			return fmt.Errorf("both -scaling-report and -scaling-baseline are required")
-		}
-		rep, err := loadScaling(*scalingPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadScaling(*scalingBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateScaling(rep, base, *maxScalingRegress, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *chaosPath != "" || *chaosBasePath != "" {
-		if *chaosPath == "" || *chaosBasePath == "" {
-			return fmt.Errorf("both -chaos-report and -chaos-baseline are required")
-		}
-		rep, err := loadChaos(*chaosPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadChaos(*chaosBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateChaos(rep, base, *minAvailability, *minJainRatio, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *hotkeyPath != "" || *hotkeyBasePath != "" {
-		if *hotkeyPath == "" || *hotkeyBasePath == "" {
-			return fmt.Errorf("both -hotkey-report and -hotkey-baseline are required")
-		}
-		rep, err := loadHotkey(*hotkeyPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadHotkey(*hotkeyBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateHotkey(rep, base, *minScaling, *minHotkeyJainRatio, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *restartPath != "" || *restartBasePath != "" {
-		if *restartPath == "" || *restartBasePath == "" {
-			return fmt.Errorf("both -restart-report and -restart-baseline are required")
-		}
-		rep, err := loadRestart(*restartPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadRestart(*restartBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateRestart(rep, base, *minWarmAvail, *maxWarmReabsorb, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *bigramPath != "" || *bigramBasePath != "" {
-		if *bigramPath == "" || *bigramBasePath == "" {
-			return fmt.Errorf("both -bigram-report and -bigram-baseline are required")
-		}
-		rep, err := loadBigram(*bigramPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadBigram(*bigramBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateBigram(rep, base, *maxTwoTierRegress, *minDropRatio, *minMemOnlyDrop, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *updatePath != "" || *updateBasePath != "" {
-		if *updatePath == "" || *updateBasePath == "" {
-			return fmt.Errorf("both -update-report and -update-baseline are required")
-		}
-		rep, err := loadUpdate(*updatePath)
-		if err != nil {
-			return err
-		}
-		base, err := loadUpdate(*updateBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateUpdate(rep, base, *maxP99Staleness, *maxHitRateCost, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *swarmPath != "" || *swarmBasePath != "" {
-		if *swarmPath == "" || *swarmBasePath == "" {
-			return fmt.Errorf("both -swarm-report and -swarm-baseline are required")
-		}
-		rep, err := loadSwarm(*swarmPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadSwarm(*swarmBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateSwarm(rep, base, *minSwarmAvail, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *stormPath != "" || *stormBasePath != "" {
-		if *stormPath == "" || *stormBasePath == "" {
-			return fmt.Errorf("both -storm-report and -storm-baseline are required")
-		}
-		rep, err := loadStorm(*stormPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadStorm(*stormBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateStorm(rep, base, *maxOriginFactor, *maxForwardFraction, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if *sessionPath != "" || *sessionBasePath != "" {
-		if *sessionPath == "" || *sessionBasePath == "" {
-			return fmt.Errorf("both -session-report and -session-baseline are required")
-		}
-		rep, err := loadSession(*sessionPath)
-		if err != nil {
-			return err
-		}
-		base, err := loadSession(*sessionBasePath)
-		if err != nil {
-			return err
-		}
-		if err := gateSession(rep, base, os.Stdout); err != nil {
-			return err
-		}
-		ranAny = true
-	}
-	if !ranAny {
-		return fmt.Errorf("nothing to gate: pass -report/-baseline, -scaling-report/-scaling-baseline, -chaos-report/-chaos-baseline, -hotkey-report/-hotkey-baseline, -restart-report/-restart-baseline, -bigram-report/-bigram-baseline, -update-report/-update-baseline, -storm-report/-storm-baseline, -session-report/-session-baseline and/or -swarm-report/-swarm-baseline")
-	}
-	return nil
-}
-
-func loadUpdate(path string) (*workload.UpdateReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.UpdateReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.UpdateSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.UpdateSchema)
-	}
-	return rep, nil
-}
-
-// gateUpdate applies the mutability thresholds; every violation is reported
-// before the error returns so CI logs show the full picture.
-func gateUpdate(rep, base *workload.UpdateReport, maxP99, maxCost float64, out *os.File) error {
-	// The baseline pins the workload: a report from a smaller tree, a gentler
-	// rate or a thinner write mix is not the gated scenario.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	// The default staleness ceiling is the propagation unit itself: a write
-	// must be visible tree-wide within about one diffusion period.
-	if maxP99 <= 0 {
-		maxP99 = rep.DiffusionPeriodS
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.ReadOnly.Unanswered == 0 && rep.Update.Unanswered == 0,
-		"unanswered reads: read-only %d, update %d (every request must be served)",
-		rep.ReadOnly.Unanswered, rep.Update.Unanswered)
-	check(rep.Update.Writes >= 1,
-		"writes %d (the mix must actually write)", rep.Update.Writes)
-	check(rep.Update.Staleness.Samples >= rep.Update.Writes,
-		"staleness samples %d over %d writes (post-write responses must be sampled)",
-		rep.Update.Staleness.Samples, rep.Update.Writes)
-	check(rep.Update.RepublishesIn >= 1,
-		"republishes applied %d (writes must diffuse to at least one node)",
-		rep.Update.RepublishesIn)
-	check(rep.Update.Staleness.P99 <= maxP99,
-		"p99 staleness %.4fs (ceiling %.4fs, one diffusion period %.4fs)",
-		rep.Update.Staleness.P99, maxP99, rep.DiffusionPeriodS)
-	check(rep.HitRateCost <= maxCost,
-		"hit-rate cost %.4f of the read-only control (ceiling %.2f; %.4f -> %.4f)",
-		rep.HitRateCost, maxCost, rep.ReadOnly.HitRate, rep.Update.HitRate)
-	if bad > 0 {
-		return fmt.Errorf("%d update-heavy gate violation(s)", bad)
-	}
-	return nil
-}
-
-func loadStorm(path string) (*workload.StormReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.StormReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.StormSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.StormSchema)
-	}
-	return rep, nil
-}
-
-// gateStorm applies the lease-collapse thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateStorm(rep, base *workload.StormReport, maxOriginFactor, maxForwardFraction float64, out *os.File) error {
-	// The baseline pins the workload: fewer clients per burst, fewer writes
-	// or a longer settle would ease the storm the gate exists to measure.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.Unanswered == 0,
-		"unanswered burst reads %d (every storm read must be served)", rep.Unanswered)
-	check(rep.Writes >= 1 && rep.InvalidationsIn >= 1,
-		"%d writes, %d invalidations applied (the storm must actually invalidate)",
-		rep.Writes, rep.InvalidationsIn)
-	check(rep.LeaseRefreshes >= 1,
-		"lease refreshes %d (the leases must be exercised)", rep.LeaseRefreshes)
-	if rep.Spec.K > 1 {
-		check(rep.Promotions >= 1,
-			"promotions %d with K=%d (warm-up must raise the forest)", rep.Promotions, rep.Spec.K)
-	}
-	// The headline: per-write origin load is O(subtrees), not O(clients).
-	// Zero is legitimate — proactive duty diffusion can repair the tree
-	// before the burst lands — so only the ceiling is gated.
-	originCeiling := maxOriginFactor * float64(rep.Spec.Subtrees)
-	check(rep.PerWriteOriginFetches <= originCeiling,
-		"%.1f origin fetches/write over %d subtrees (ceiling %.1f; %d clients would herd)",
-		rep.PerWriteOriginFetches, rep.Spec.Subtrees, originCeiling, rep.Spec.Clients)
-	forwardCeiling := maxForwardFraction * float64(rep.Spec.Clients)
-	check(rep.PerWriteForwards <= forwardCeiling,
-		"%.1f upstream forwards/write vs %d clients (ceiling %.1f)",
-		rep.PerWriteForwards, rep.Spec.Clients, forwardCeiling)
-	if bad > 0 {
-		return fmt.Errorf("%d invalidation-storm gate violation(s)", bad)
-	}
-	return nil
-}
-
-func loadSession(path string) (*workload.SessionReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.SessionReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.SessionSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.SessionSchema)
-	}
-	return rep, nil
-}
-
-// gateSession applies the read-my-writes thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateSession(rep, base *workload.SessionReport, out *os.File) error {
-	// The baseline pins the workload: fewer rounds, fewer reads per write or
-	// a smaller catalog would soften the races the gate exists to measure.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.WithTokens.Unanswered == 0 && rep.WithoutTokens.Unanswered == 0,
-		"unanswered reads: with tokens %d, without %d (every session read must be served)",
-		rep.WithTokens.Unanswered, rep.WithoutTokens.Unanswered)
-	check(rep.WithTokens.Writes >= 1 && rep.WithoutTokens.Writes >= 1,
-		"writes: with tokens %d, without %d (the schedule must actually write)",
-		rep.WithTokens.Writes, rep.WithoutTokens.Writes)
-	// The headline pair: the token arm must hold the guarantee absolutely,
-	// and the bare arm of the identical schedule must demonstrate the races
-	// the tokens close — otherwise the zero above proves nothing.
-	check(rep.WithTokens.Violations == 0,
-		"read-my-writes violations with tokens %d (the guarantee admits no exceptions)",
-		rep.WithTokens.Violations)
-	check(rep.WithoutTokens.Violations > 0,
-		"read-my-writes violations without tokens %d over %d rounds (the schedule must provoke the race)",
-		rep.WithoutTokens.Violations, rep.WithoutTokens.ViolationWindows)
-	check(rep.WithTokens.SessionRefreshes >= 1,
-		"session refreshes %d (the server-side gate must be exercised, not bypassed)",
-		rep.WithTokens.SessionRefreshes)
-	if bad > 0 {
-		return fmt.Errorf("%d session gate violation(s)", bad)
-	}
-	return nil
-}
-
-func loadRestart(path string) (*workload.RestartReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.RestartReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.RestartSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.RestartSchema)
-	}
-	return rep, nil
-}
-
-// gateRestart applies the warm-restart thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateRestart(rep, base *workload.RestartReport, minWarmAvail, maxWarmReabsorb float64, out *os.File) error {
-	// The baseline pins the workload: a report from a smaller tree, gentler
-	// kills, a shorter downtime or a bigger cache budget is not the gated
-	// scenario.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.Warm.PostRestartAvailability >= minWarmAvail,
-		"warm post-restart availability %.4f (floor %.4f; cold %.4f)",
-		rep.Warm.PostRestartAvailability, minWarmAvail, rep.Cold.PostRestartAvailability)
-	// Reabsorb is wall-clock AND quantized by the failure detector: any
-	// single measurement lands anywhere inside one detection window
-	// (HeartbeatMisses silent periods), so the absolute ceiling alone would
-	// flake. A warm pass within one detection window of the same report's
-	// cold pass also passes — that covers both detector quantization and a
-	// loaded CI runner slowing the passes alike — while a genuinely broken
-	// warm path overshoots the window. -1 (never repaired) fails both arms.
-	hb := rep.Spec.HeartbeatMS
-	if hb <= 0 {
-		hb = 40 // ChaosSpec.WithDefaults
-	}
-	detectWindow := 3 * float64(hb) / 1000 // default HeartbeatMisses
-	warmReabsorbOK := rep.Warm.ReabsorbSeconds >= 0 &&
-		(rep.Warm.ReabsorbSeconds <= maxWarmReabsorb ||
-			(rep.Cold.ReabsorbSeconds >= 0 && rep.Warm.ReabsorbSeconds <= rep.Cold.ReabsorbSeconds+detectWindow))
-	check(warmReabsorbOK, "warm reabsorb %.2fs (ceiling %.2fs, cold %.2fs + %.2fs detection window)",
-		rep.Warm.ReabsorbSeconds, maxWarmReabsorb, rep.Cold.ReabsorbSeconds, detectWindow)
-	check(rep.Warm.WarmDocs >= 1,
-		"warm docs recovered %d (journal replay must restore something)", rep.Warm.WarmDocs)
-	check(rep.Cold.FailedRevives == 0 && rep.Warm.FailedRevives == 0,
-		"failed revives cold %d warm %d (every victim must come back)",
-		rep.Cold.FailedRevives, rep.Warm.FailedRevives)
-	if bad > 0 {
-		return fmt.Errorf("%d restart gate violation(s)", bad)
-	}
-	return nil
-}
-
-func loadBigram(path string) (*workload.BigramReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.BigramReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.BigramSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.BigramSchema)
-	}
-	return rep, nil
-}
-
-// gateBigram applies the disk-tier thresholds; every violation is reported
-// before the error returns so CI logs show the full picture.
-func gateBigram(rep, base *workload.BigramReport, maxTwoTierRegress, minDropRatio, minMemOnlyDrop float64, out *os.File) error {
-	// The baseline pins the workload: a smaller corpus or a bigger memory
-	// budget removes the pressure the gate exists to measure.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	// All three figures come from the same report — the in-ram ceiling is
-	// re-measured every run, so the comparison is same-hardware by
-	// construction and the baseline only pins the spec.
-	check(rep.TwoTier.HitRate >= rep.InRAM.HitRate*(1-maxTwoTierRegress),
-		"two-tier hit rate %.4f within %.0f%% of in-ram %.4f",
-		rep.TwoTier.HitRate, maxTwoTierRegress*100, rep.InRAM.HitRate)
-	check(rep.MemOnlyHitDrop >= minMemOnlyDrop,
-		"mem-only hit drop %.4f (floor %.2f — the constrained budget must actually thrash)",
-		rep.MemOnlyHitDrop, minMemOnlyDrop)
-	twoTierDrop := rep.TwoTierHitDrop
-	if twoTierDrop < 0 {
-		twoTierDrop = 0 // two-tier beating the in-ram ceiling only makes the ratio easier
-	}
-	check(rep.MemOnlyHitDrop >= minDropRatio*twoTierDrop,
-		"mem-only drop %.4f is %.1fx two-tier drop %.4f (floor %.1fx)",
-		rep.MemOnlyHitDrop, safeRatio(rep.MemOnlyHitDrop, twoTierDrop), rep.TwoTierHitDrop, minDropRatio)
-	check(rep.TwoTier.DiskHits > 0,
-		"two-tier disk hits %d (the tier must actually serve)", rep.TwoTier.DiskHits)
-	if bad > 0 {
-		return fmt.Errorf("%d bigger-than-ram gate violation(s)", bad)
-	}
-	return nil
-}
-
-// safeRatio is for display only: the drop ratio with a zero denominator is
-// effectively infinite, rendered as 999x rather than +Inf.
-func safeRatio(num, den float64) float64 {
-	if den <= 0 {
-		return 999
-	}
-	return num / den
-}
-
-func loadHotkey(path string) (*workload.HotkeyReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.HotkeyReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.HotkeySchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.HotkeySchema)
-	}
-	return rep, nil
-}
-
-// gateHotkey applies the replication-forest thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateHotkey(rep, base *workload.HotkeyReport, minScaling, minJainRatio float64, out *os.File) error {
-	// The baseline pins the workload: HotkeySpec includes the K sweep (a
-	// slice), so the pin is a field-wise comparison via canonical JSON — a
-	// report from a gentler flash, a bigger server or a narrower sweep is
-	// not the gated scenario.
-	repSpec, err := json.Marshal(rep.Spec)
+	rep, schema, err := load(*reportPath)
 	if err != nil {
 		return err
 	}
-	baseSpec, err := json.Marshal(base.Spec)
+	base, baseSchema, err := load(*basePath)
 	if err != nil {
 		return err
 	}
-	if string(repSpec) != string(baseSpec) {
-		return fmt.Errorf("report spec %s and baseline spec %s are different workloads; regenerate the baseline",
-			repSpec, baseSpec)
+	if schema != baseSchema {
+		return fmt.Errorf("%s has schema %q but baseline %s has %q", *reportPath, schema, *basePath, baseSchema)
 	}
+	sc, ok := workload.ForSchema(schema)
+	if !ok || !sc.Gated() {
+		return fmt.Errorf("%s: no gate for schema %q", *reportPath, schema)
+	}
+	checks, err := sc.Checks(rep, base)
 	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
+	for _, c := range checks {
+		fmt.Fprintln(out, c)
+		if c.Failed() {
 			bad++
 		}
 	}
-	baseRun := rep.Run(1)
-	check(baseRun != nil, "k=1 baseline run present in the sweep")
-	check(rep.ScalingX >= minScaling,
-		"widest forest scales %.2fx over k=1 (floor %.2fx)", rep.ScalingX, minScaling)
-	check(rep.JainRatio >= minJainRatio,
-		"widest forest jain ratio %.3f vs k=1 (floor %.2f)", rep.JainRatio, minJainRatio)
-	for _, run := range rep.Runs {
-		if run.K <= 1 {
-			continue
-		}
-		check(run.Promotions >= 1 && run.Demotions >= 1,
-			"k=%d promote/demote round trip (%d promotions, %d demotions)",
-			run.K, run.Promotions, run.Demotions)
-		check(run.PromotedAtS >= 0 && run.DemotedAtS > run.PromotedAtS,
-			"k=%d promoted at %.1fs, demoted at %.1fs", run.K, run.PromotedAtS, run.DemotedAtS)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d hot-key gate violation(s)", bad)
-	}
-	return nil
-}
-
-func loadChaos(path string) (*workload.ChaosReport, error) {
-	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	rep := &workload.ChaosReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != workload.ChaosSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.ChaosSchema)
-	}
-	return rep, nil
-}
-
-// gateChaos applies the fault-tolerance thresholds; every violation is
-// reported before the error returns so CI logs show the full picture.
-func gateChaos(rep, base *workload.ChaosReport, minAvail, minJainRatio float64, out *os.File) error {
-	// The baseline pins the workload: a report from a smaller tree, lighter
-	// kills or a shorter schedule is not the gated scenario.
-	// Every spec field is pinned — including the kill schedule and the
-	// detector period, since a faster heartbeat or gentler downtime would
-	// ease the scenario as surely as a smaller tree.
-	if rep.Spec != base.Spec {
-		return fmt.Errorf("report spec %+v and baseline spec %+v are different workloads; regenerate the baseline",
-			rep.Spec, base.Spec)
-	}
-	bad := 0
-	check := func(ok bool, format string, args ...any) {
-		if ok {
-			fmt.Fprintf(out, "ok   "+format+"\n", args...)
-		} else {
-			fmt.Fprintf(out, "FAIL "+format+"\n", args...)
-			bad++
-		}
-	}
-	check(rep.Availability >= minAvail,
-		"availability %.4f under %d kills (floor %.4f)", rep.Availability, len(rep.Killed), minAvail)
-	check(rep.JainRatio >= minJainRatio,
-		"post-repair jain %.3f = %.3f of the no-failure run (floor %.2f)",
-		rep.PostRepairJain, rep.JainRatio, minJainRatio)
-	check(rep.Reconnects >= 1, "reconnects %d (failover must have fired)", rep.Reconnects)
-	check(rep.FinalOrphaned == 0, "orphaned at end %d (tree must be repaired)", rep.FinalOrphaned)
-	check(rep.ReabsorbSeconds >= 0, "reabsorb %.2fs (repair must complete within the run)", rep.ReabsorbSeconds)
-	check(rep.FailedRevives == 0, "failed revives %d (every scheduled restart must succeed)", rep.FailedRevives)
 	if bad > 0 {
-		return fmt.Errorf("%d chaos gate violation(s)", bad)
+		return fmt.Errorf(sc.Fails, bad)
 	}
 	return nil
 }
 
-func loadScaling(path string) (*workload.ScalingReport, error) {
-	f, err := os.Open(path)
+// load reads a report and its schema.
+func load(path string) ([]byte, string, error) {
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	defer f.Close()
-	rep := &workload.ScalingReport{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var head struct {
+		Schema string `json:"schema"`
 	}
-	if rep.Schema != workload.ScalingSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, workload.ScalingSchema)
+	if err := json.Unmarshal(blob, &head); err != nil {
+		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	return rep, nil
-}
-
-// gateScaling applies the efficiency rules; it reports every violation
-// before returning an error so CI logs show the full picture.
-func gateScaling(rep, base *workload.ScalingReport, maxRegress float64, out *os.File) error {
-	if len(rep.Spec.Procs) == 0 || len(base.Spec.Procs) == 0 {
-		return fmt.Errorf("scaling report/baseline with empty proc sweep")
-	}
-	// Same workload or the curves mean nothing. Duration is deliberately
-	// exempt: it sets the sampling window, not the offered pressure, and CI
-	// measures a shorter window than the committed baseline.
-	rw, bw := rep.Spec, base.Spec
-	if rw.Seed != bw.Seed || rw.Nodes != bw.Nodes || rw.Clients != bw.Clients ||
-		rw.NumDocs != bw.NumDocs || rw.BodyBytes != bw.BodyBytes || rw.ZipfSkew != bw.ZipfSkew {
-		return fmt.Errorf("report (seed %d, %d nodes, %d clients, %d docs x %dB, skew %g) and baseline (seed %d, %d nodes, %d clients, %d docs x %dB, skew %g) are different workloads; regenerate the baseline",
-			rw.Seed, rw.Nodes, rw.Clients, rw.NumDocs, rw.BodyBytes, rw.ZipfSkew,
-			bw.Seed, bw.Nodes, bw.Clients, bw.NumDocs, bw.BodyBytes, bw.ZipfSkew)
-	}
-	if rep.Spec.Procs[0] != base.Spec.Procs[0] {
-		return fmt.Errorf("report sweep starts at %d procs, baseline at %d; efficiencies are not comparable — regenerate the baseline",
-			rep.Spec.Procs[0], base.Spec.Procs[0])
-	}
-	bad, checked := 0, 0
-	for _, br := range base.Runs {
-		rr := rep.Run(br.Procs)
-		if rr == nil {
-			continue // CI sweeps a subset of the committed baseline's procs
-		}
-		if rr.PerCoreRPS < br.PerCoreRPS*(1-maxRegress) {
-			fmt.Fprintf(out, "warn procs=%d raw %8.0f req/s/core vs baseline %8.0f (different hardware? not gated)\n",
-				br.Procs, rr.PerCoreRPS, br.PerCoreRPS)
-		}
-		if br.Procs == base.Spec.Procs[0] {
-			continue // efficiency at the sweep base is 1.0 by definition
-		}
-		checked++
-		if rr.Efficiency < br.Efficiency*(1-maxRegress) {
-			fmt.Fprintf(out, "FAIL procs=%d efficiency %.4f fell >%.0f%% below baseline %.4f\n",
-				br.Procs, rr.Efficiency, maxRegress*100, br.Efficiency)
-			bad++
-		} else {
-			fmt.Fprintf(out, "ok   procs=%d efficiency %.4f (baseline %.4f, %6.0f req/s/core)\n",
-				br.Procs, rr.Efficiency, br.Efficiency, rr.PerCoreRPS)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("no common core counts beyond the sweep base between report and baseline")
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d core-scaling regression(s) vs baseline", bad)
-	}
-	return nil
-}
-
-func load(path string) (*workload.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep := &workload.Report{}
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// gate applies the regression rules; it reports every violation before
-// returning an error so CI logs show the full picture.
-func gate(rep, base *workload.Report, maxRegress float64, out *os.File) error {
-	if rep.Scenario != base.Scenario || rep.Seed != base.Seed {
-		return fmt.Errorf("report (%s seed %d) and baseline (%s seed %d) are different runs; regenerate the baseline",
-			rep.Scenario, rep.Seed, base.Scenario, base.Seed)
-	}
-	bad := 0
-	for i := range base.Systems {
-		bs := &base.Systems[i]
-		if bs.Cache == nil {
-			continue
-		}
-		rs := rep.System(bs.Name)
-		switch {
-		case rs == nil || rs.Cache == nil:
-			fmt.Fprintf(out, "FAIL %-14s missing from the report (baseline hit %.4f)\n", bs.Name, bs.Cache.HitRate)
-			bad++
-		case rs.Cache.OverBudget:
-			fmt.Fprintf(out, "FAIL %-14s exceeded its byte budget (max node %d > %d)\n",
-				rs.Name, rs.Cache.MaxNodeBytes, rs.Cache.BudgetBytes)
-			bad++
-		case rs.Cache.HitRate < bs.Cache.HitRate*(1-maxRegress):
-			fmt.Fprintf(out, "FAIL %-14s hit rate %.4f fell >%.0f%% below baseline %.4f\n",
-				rs.Name, rs.Cache.HitRate, maxRegress*100, bs.Cache.HitRate)
-			bad++
-		default:
-			fmt.Fprintf(out, "ok   %-14s hit rate %.4f (baseline %.4f)\n",
-				rs.Name, rs.Cache.HitRate, bs.Cache.HitRate)
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d cache regression(s) vs baseline", bad)
-	}
-	return nil
+	return blob, head.Schema, nil
 }

@@ -1,57 +1,36 @@
-// Command webwave-bench runs named workload scenarios against the WebWave
-// reproduction and emits a machine-readable JSON report comparing WebWave
-// with the comparison policies on the identical request trace.
+// Command webwave-bench runs one scenario from the workload registry
+// (internal/workload.Scenarios) and writes its JSON report; for the gated
+// scenarios, benchgate then holds that report against the committed
+// baseline in bench/.
 //
-// Fast-forward mode (the default) replays the scenario in virtual time on
-// the discrete-event engine against the document-level protocol simulator;
-// two runs with the same seed produce byte-identical reports. Live mode
-// replays the compressed schedule against a real in-memory cluster through
-// the HTTP gateway.
+// The trace-replay scenarios (zipf-steady, flash-crowd, churn,
+// cache-pressure, ...) compare WebWave with the comparison policies on the
+// identical request trace. Fast-forward mode (the default) replays them in
+// virtual time on the discrete-event engine; two runs with the same seed
+// produce byte-identical reports. Live mode replays the compressed schedule
+// against a real in-memory cluster through the HTTP gateway. hot-key is a
+// seeded, deterministic capacity model of the replication forest. The rest
+// are wall-clock (NOT deterministic) measurements of the live stack:
+// wire-throughput (v1 vs v2 wire codec), core-scaling (GOMAXPROCS sweep),
+// chaos and restart (node kills, cold vs warm revival), bigger-than-ram
+// (disk tier), update-heavy and invalidation-storm (mutable documents) and
+// session (read-my-writes tokens). `-list` prints the catalog; the
+// multi-process swarm runs under webwave-swarm instead.
+//
+// -cpuprofile and -memprofile write pprof artifacts covering the run, so a
+// regression caught by CI can be diagnosed from the uploaded profile
+// instead of reproduced by hand.
 //
 // Usage:
 //
 //	webwave-bench -list
 //	webwave-bench -scenario flash-crowd -seed 1 -json out.json
 //	webwave-bench -scenario churn -mode live -speedup 20 -json out.json
-//	webwave-bench -scenario zipf-steady -n 63 -duration 60 -rate 500
 //	webwave-bench -scenario zipf-steady -mode live -transport tcp -wirev 2
-//	webwave-bench -scenario wire-throughput -duration 3 -json BENCH_wire_throughput.json
-//	webwave-bench -scenario core-scaling -procs 1,2,4,8 -json BENCH_scaling.json
-//	webwave-bench -scenario core-scaling -procs 1,4 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	webwave-bench -scenario core-scaling -procs 1,4 -cpuprofile cpu.pprof -json BENCH_scaling.json
 //	webwave-bench -scenario chaos -kill-fraction 0.1 -json BENCH_chaos.json
 //	webwave-bench -scenario hot-key -ks 1,3 -json BENCH_hotkey.json
-//	webwave-bench -scenario update-heavy -write-fraction 0.1 -json BENCH_update.json
 //	webwave-bench -scenario invalidation-storm -k 2 -writes 8 -json BENCH_storm.json
-//	webwave-bench -scenario session -rounds 40 -json BENCH_session.json
-//
-// hot-key is special but deterministic: a seeded capacity model of the
-// replication forest (one document's flash crowd against k=1 vs k=3 trees,
-// promote/demote hysteresis, two-choices routing) whose report benchgate
-// thresholds against the committed baseline.
-//
-// update-heavy and invalidation-storm are the mutable-document scenarios:
-// update-heavy replays one Poisson schedule twice against a live cluster
-// (read-only control, then a seeded write mix) and reports staleness
-// percentiles plus the hit-rate cost of mutability; invalidation-storm
-// promotes one hot document, then repeatedly invalidates it and storms the
-// leaves, measuring how far the subtree leases collapse per-write origin
-// fetches below one-per-client. session replays a seeded
-// write-then-read-elsewhere schedule twice — session token riding the wire,
-// then stripped — and reports read-my-writes violations per arm: the gated
-// shape is zero with tokens and strictly positive without.
-//
-// Three scenarios are special, wall-clock (NOT deterministic) measurements
-// of the live serving stack: wire-throughput drives the same pressure once
-// per wire protocol version over TCP loopback and reports the v2/v1
-// speedup; core-scaling sweeps GOMAXPROCS (the servers' shard-loop count
-// follows) and reports req/s, per-core efficiency, Jain fairness and hit
-// rate per core count; chaos kills and restarts a fraction of a live
-// cluster's interior nodes mid-run and reports availability, repair time
-// and post-repair fairness against a no-failure control pass.
-//
-// -cpuprofile and -memprofile write pprof artifacts covering the run, so a
-// scaling regression caught by CI can be diagnosed from the uploaded
-// profile instead of reproduced by hand.
 package main
 
 import (
@@ -60,6 +39,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"webwave/internal/workload"
 )
@@ -72,43 +53,58 @@ func main() {
 }
 
 func run(args []string) error {
+	var p workload.Params
 	fs := flag.NewFlagSet("webwave-bench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list scenarios and exit")
 	scenario := fs.String("scenario", "zipf-steady", "scenario name (see -list)")
-	seed := fs.Int64("seed", 1, "RNG seed; fixes tree, trace and report in fast mode")
-	mode := fs.String("mode", "fast", "fast (virtual time, deterministic) or live (real cluster)")
 	jsonPath := fs.String("json", "", "write the JSON report to this file")
-	n := fs.Int("n", 0, "override tree size")
-	duration := fs.Float64("duration", 0, "override schedule length, seconds")
-	rate := fs.Float64("rate", 0, "override aggregate request rate, req/s")
-	window := fs.Float64("window", 0, "override metrics window, seconds")
-	speedup := fs.Float64("speedup", 10, "live: schedule time compression")
-	clients := fs.Int("clients", 16, "live/wire: concurrent workers")
-	transportName := fs.String("transport", "mem", "live: cluster transport (mem or tcp)")
-	wirev := fs.Int("wirev", 2, "live/wire: TCP wire protocol version (1=JSON, 2=binary)")
-	body := fs.Int("body", 0, "wire-throughput: document body bytes (default 1024)")
-	cacheBudget := fs.Int64("cache-budget", 0, "override per-node cache budget, bytes (0 = scenario default)")
-	diskBudget := fs.Int64("disk-budget", 0, "restart/bigger-than-ram: per-node disk-tier budget, bytes (0 = scenario default)")
-	docBytes := fs.Int("doc-bytes", 0, "override document body size, bytes")
-	evictPolicy := fs.String("evict-policy", "", "live: eviction policy (lru, heat or gdsf)")
-	procs := fs.String("procs", "1,2,4,8", "core-scaling: comma-separated GOMAXPROCS sweep")
-	repeat := fs.Int("repeat", 1, "core-scaling: full-sweep repetitions, keeping the lowest efficiency per core count (baselines use 3)")
-	killFraction := fs.Float64("kill-fraction", 0, "chaos: fraction of interior nodes killed mid-run (0 = default 0.10)")
-	heartbeatMS := fs.Int("heartbeat-ms", 0, "chaos: failure-detector period, milliseconds (0 = default 40)")
-	ks := fs.String("ks", "", "hot-key: comma-separated forest widths to sweep (default 1,3)")
-	writeFraction := fs.Float64("write-fraction", 0, "update-heavy: fraction of the schedule that becomes republish writes (0 = default 0.10)")
-	writes := fs.Int("writes", 0, "invalidation-storm: write rounds (0 = default 8)")
-	subtrees := fs.Int("subtrees", 0, "invalidation-storm/session: interior subtrees under the origin (0 = default 3)")
-	leavesPer := fs.Int("leaves-per", 0, "invalidation-storm/session: leaves per subtree (0 = default 4)")
-	sessionDocs := fs.Int("docs", 0, "session: catalog size (0 = default 4)")
-	rounds := fs.Int("rounds", 0, "session: write-then-read rounds per pass (0 = default 40)")
-	readsPerWrite := fs.Int("reads-per-write", 0, "session: reads injected per round (0 = default 6)")
-	kWidth := fs.Int("k", 0, "invalidation-storm: replication-forest width for the hot doc (0 = default 2, 1 disables)")
-	settleMS := fs.Int("settle-ms", 0, "invalidation-storm: write-to-burst settle, milliseconds (0 = default 25)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
+	fs.Int64Var(&p.Seed, "seed", 1, "RNG seed; fixes tree, trace and report in fast mode")
+	fs.StringVar(&p.Mode, "mode", "fast", "trace replay: fast (virtual time, deterministic) or live (real cluster)")
+	fs.IntVar(&p.Nodes, "n", 0, "override tree size")
+	fs.Float64Var(&p.Duration, "duration", 0, "override schedule length, seconds")
+	fs.Float64Var(&p.Rate, "rate", 0, "override aggregate request rate, req/s")
+	fs.Float64Var(&p.Window, "window", 0, "override metrics window, seconds")
+	fs.Float64Var(&p.Speedup, "speedup", 10, "live: schedule time compression")
+	fs.IntVar(&p.Clients, "clients", 0, "concurrent workers / closed-loop clients (0 = scenario default: 16, 120 for invalidation-storm)")
+	fs.StringVar(&p.Transport, "transport", "mem", "live: cluster transport (mem or tcp)")
+	fs.IntVar(&p.WireVersion, "wirev", 2, "live: TCP wire protocol version (1=JSON, 2=binary)")
+	fs.IntVar(&p.BodyBytes, "body", 0, "wire-throughput/core-scaling: document body bytes (default 1024)")
+	fs.Int64Var(&p.CacheBudget, "cache-budget", 0, "override per-node cache budget, bytes (0 = scenario default)")
+	fs.Int64Var(&p.DiskBudget, "disk-budget", 0, "restart/bigger-than-ram: per-node disk-tier budget, bytes (0 = scenario default)")
+	fs.IntVar(&p.DocBytes, "doc-bytes", 0, "override document body size, bytes")
+	fs.StringVar(&p.EvictPolicy, "evict-policy", "", "live: eviction policy (lru, heat or gdsf)")
+	fs.Func("procs", "core-scaling: comma-separated GOMAXPROCS sweep (default 1,2,4,8)", intList(&p.Procs))
+	fs.IntVar(&p.Repeat, "repeat", 1, "core-scaling: full-sweep repetitions, keeping the lowest efficiency per core count (baselines use 3)")
+	fs.Float64Var(&p.KillFraction, "kill-fraction", 0, "chaos: fraction of interior nodes killed mid-run (0 = default 0.10)")
+	fs.IntVar(&p.HeartbeatMS, "heartbeat-ms", 0, "chaos: failure-detector period, milliseconds (0 = default 40)")
+	fs.Func("ks", "hot-key: comma-separated forest widths to sweep (default 1,3)", intList(&p.Ks))
+	fs.Float64Var(&p.WriteFraction, "write-fraction", 0, "update-heavy: fraction of the schedule that becomes republish writes (0 = default 0.10)")
+	fs.IntVar(&p.Writes, "writes", 0, "invalidation-storm: write rounds (0 = default 8)")
+	fs.IntVar(&p.Subtrees, "subtrees", 0, "invalidation-storm/session: interior subtrees under the origin (0 = default 3)")
+	fs.IntVar(&p.LeavesPer, "leaves-per", 0, "invalidation-storm/session: leaves per subtree (0 = default 4)")
+	fs.IntVar(&p.Docs, "docs", 0, "session: catalog size (0 = default 4)")
+	fs.IntVar(&p.Rounds, "rounds", 0, "session: write-then-read rounds per pass (0 = default 40)")
+	fs.IntVar(&p.ReadsPerWrite, "reads-per-write", 0, "session: reads injected per round (0 = default 6)")
+	fs.IntVar(&p.K, "k", 0, "invalidation-storm: replication-forest width for the hot doc (0 = default 2, 1 disables)")
+	fs.IntVar(&p.SettleMS, "settle-ms", 0, "invalidation-storm: write-to-burst settle, milliseconds (0 = default 25)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	if *list {
+		for _, s := range workload.Scenarios() {
+			fmt.Printf("%-18s %s\n", s.Name, s.About)
+		}
+		return nil
+	}
+	sc, ok := workload.Find(*scenario)
+	if !ok {
+		return fmt.Errorf("unknown scenario %q (try -list)", *scenario)
+	}
+	if sc.Run == nil {
+		return fmt.Errorf("scenario %s has its own runner (see -list)", sc.Name)
 	}
 
 	if *cpuprofile != "" {
@@ -142,207 +138,39 @@ func run(args []string) error {
 		}()
 	}
 
-	if *list {
-		for _, s := range workload.Scenarios() {
-			d := s.WithDefaults()
-			fmt.Printf("%-14s %3d nodes, %4d docs, %-7s popularity, %-7s arrivals, %.0f req/s for %.0fs\n",
-				d.Name, d.Nodes, d.NumDocs, d.Popularity, d.Arrival, d.TotalRate, d.Duration)
-		}
-		fmt.Printf("%-14s live TCP stack, v1 (JSON) vs v2 (binary) wire protocol, closed-loop saturation\n",
-			"wire-throughput")
-		fmt.Printf("%-14s live TCP stack, GOMAXPROCS sweep, req/s + per-core efficiency + Jain + hit rate\n",
-			"core-scaling")
-		fmt.Printf("%-14s live cluster under node churn: kill/restart interior nodes, availability + repair time + post-repair Jain\n",
-			"chaos")
-		fmt.Printf("%-14s chaos workload twice, cold vs warm (disk-tier) restarts: post-restart availability + reabsorb + recovered docs\n",
-			"restart")
-		fmt.Printf("%-14s corpus ~10x memory budget, three passes (in-ram / mem-only / two-tier): hit-rate retention + disk hits\n",
-			"bigger-than-ram")
-		fmt.Printf("%-14s deterministic replication-forest model: single-doc flash crowd, k=1 vs k=3 trees, scaling + Jain + promote/demote round trip\n",
-			"hot-key")
-		fmt.Printf("%-14s live cluster, one schedule twice (read-only vs write mix): staleness percentiles + hit-rate cost of mutability\n",
-			"update-heavy")
-		fmt.Printf("%-18s live forest, repeated invalidate + leaf read storm: per-write origin fetches vs clients (lease collapse)\n",
-			"invalidation-storm")
-		fmt.Printf("%-14s live star, seeded write-then-read-elsewhere schedule twice (token on/off): read-my-writes violations\n",
-			"session")
-		return nil
-	}
-
-	if *scenario == "wire-throughput" {
-		return runWireThroughput(wireSpec{
-			Seed: *seed, Nodes: *n, Clients: *clients,
-			Duration: *duration, BodyBytes: *body,
-		}, *jsonPath)
-	}
-	if *scenario == "core-scaling" {
-		sweep, err := parseProcs(*procs)
-		if err != nil {
-			return err
-		}
-		return runCoreScaling(workload.ScalingSpec{
-			Seed: *seed, Nodes: *n, Clients: *clients,
-			Duration: *duration, BodyBytes: *body, Procs: sweep, Repeat: *repeat,
-		}, *jsonPath)
-	}
-	if *scenario == "chaos" {
-		return runChaos(workload.ChaosSpec{
-			Seed: *seed, Nodes: *n, TotalRate: *rate, Duration: *duration,
-			KillFraction: *killFraction, HeartbeatMS: *heartbeatMS,
-		}, *jsonPath)
-	}
-	if *scenario == "restart" {
-		return runRestart(workload.RestartSpec{
-			ChaosSpec: workload.ChaosSpec{
-				Seed: *seed, Nodes: *n, TotalRate: *rate, Duration: *duration,
-				KillFraction: *killFraction, HeartbeatMS: *heartbeatMS,
-			},
-			CacheBudgetBytes: *cacheBudget,
-			DiskBudgetBytes:  *diskBudget,
-		}, *jsonPath)
-	}
-	if *scenario == "bigger-than-ram" {
-		return runBigram(workload.BigramSpec{
-			Seed: *seed, Nodes: *n, Clients: *clients,
-			BodyBytes: *docBytes, Duration: *duration,
-			CacheBudgetBytes: *cacheBudget,
-			DiskBudgetBytes:  *diskBudget,
-		}, *jsonPath)
-	}
-	if *scenario == "hot-key" {
-		sweep, err := parseKs(*ks)
-		if err != nil {
-			return err
-		}
-		return runHotkey(workload.HotkeySpec{
-			Seed: *seed, Nodes: *n, BaseRate: *rate,
-			Duration: *duration, Window: *window, Ks: sweep,
-		}, *jsonPath)
-	}
-
-	if *scenario == "update-heavy" {
-		return runUpdate(workload.UpdateSpec{
-			Seed: *seed, Nodes: *n, TotalRate: *rate, Duration: *duration,
-			WriteFraction: *writeFraction,
-		}, *jsonPath)
-	}
-	if *scenario == "invalidation-storm" {
-		cl := 0
-		if fsFlagSet(fs, "clients") {
-			cl = *clients
-		}
-		return runStorm(workload.StormSpec{
-			Seed: *seed, Subtrees: *subtrees, LeavesPer: *leavesPer,
-			Clients: cl, Writes: *writes, K: *kWidth, SettleMS: *settleMS,
-		}, *jsonPath)
-	}
-
-	if *scenario == "session" {
-		return runSession(workload.SessionSpec{
-			Seed: *seed, Subtrees: *subtrees, LeavesPer: *leavesPer,
-			Docs: *sessionDocs, Rounds: *rounds, ReadsPerWrite: *readsPerWrite,
-		}, *jsonPath)
-	}
-
-	sp, ok := workload.Lookup(*scenario)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (try -list)", *scenario)
-	}
-	if *n > 0 {
-		sp.Nodes = *n
-	}
-	if *duration > 0 {
-		sp.Duration = *duration
-	}
-	if *rate > 0 {
-		sp.TotalRate = *rate
-	}
-	if *window > 0 {
-		sp.Window = *window
-	}
-	if *cacheBudget > 0 {
-		sp.CacheBudgetBytes = *cacheBudget
-	}
-	if *docBytes > 0 {
-		sp.DocBytes = *docBytes
-	}
-	if *evictPolicy != "" {
-		sp.EvictPolicy = *evictPolicy
-	}
-
-	var rep *workload.Report
-	var err error
-	switch *mode {
-	case "fast":
-		rep, err = workload.RunFast(sp, *seed)
-	case "live":
-		rep, err = workload.RunLive(sp, *seed, workload.LiveOptions{
-			Speedup: *speedup, Clients: *clients,
-			Transport: *transportName, WireVersion: *wirev,
-		})
-	default:
-		return fmt.Errorf("unknown mode %q (want fast or live)", *mode)
-	}
+	rep, err := sc.Run(p, func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
 	if err != nil {
 		return err
 	}
-
-	printSummary(rep)
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", *jsonPath)
+	if *jsonPath == "" {
+		return nil
 	}
+	if err := workload.WriteJSON(*jsonPath, rep); err != nil {
+		return err
+	}
+	fmt.Printf("report: %s\n", *jsonPath)
 	return nil
 }
 
-// fsFlagSet reports whether the named flag was set explicitly — the storm
-// scenario's clients default (120) differs from the live-mode default (16),
-// so only an explicit -clients overrides it.
-func fsFlagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+// intList parses a comma-separated list of positive integers ("1,2,4,8")
+// into *dst.
+func intList(dst *[]int) func(string) error {
+	return func(s string) error {
+		var out []int
+		for _, part := range strings.Split(s, ",") {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+			n, err := strconv.Atoi(part)
+			if err != nil || n <= 0 {
+				return fmt.Errorf("bad entry %q (want positive integers, e.g. 1,2,4)", part)
+			}
+			out = append(out, n)
 		}
-	})
-	return set
-}
-
-func printSummary(rep *workload.Report) {
-	fmt.Printf("scenario %s (%s mode, seed %d): %d nodes (height %d), %d requests @ %.1f req/s, %d churn events\n",
-		rep.Scenario, rep.Mode, rep.Seed, rep.Tree.Nodes, rep.Tree.Height,
-		rep.Requests, rep.OfferedRPS, rep.ChurnEvents)
-	fmt.Printf("%-12s %9s %7s %8s %8s %8s %8s %9s %9s\n",
-		"system", "thr(r/s)", "failed", "p50(ms)", "p95(ms)", "p99(ms)", "hops", "jain", "max/mean")
-	for _, s := range rep.Systems {
-		fmt.Printf("%-12s %9.1f %7d %8.2f %8.2f %8.2f %8.2f %9.3f %9.2f\n",
-			s.Name, s.ThroughputRPS, s.Failed,
-			s.Latency.P50MS, s.Latency.P95MS, s.Latency.P99MS,
-			s.MeanHops, s.MeanJain, s.WorstMaxOverMean)
-	}
-	for _, s := range rep.Systems {
-		if s.Cache == nil {
-			continue
+		if len(out) == 0 {
+			return fmt.Errorf("empty list")
 		}
-		c := s.Cache
-		fmt.Printf("%-12s cache: policy=%-4s budget=%dB hit=%.3f evictions=%d evictedMB=%.1f maxnode=%dB overBudget=%v\n",
-			s.Name, c.Policy, c.BudgetBytes, c.HitRate, c.Evictions,
-			float64(c.EvictedBytes)/(1<<20), c.MaxNodeBytes, c.OverBudget)
-	}
-	fmt.Println("analytic capacity models (steady-state mean demand):")
-	for _, b := range rep.Baselines {
-		fmt.Printf("  %-12s thr=%8.1f maxload=%8.1f nodes=%3d ctl/req=%.2f bottleneck=%s\n",
-			b.Name, b.ThroughputRPS, b.MaxLoadRPS, b.ServingNodes, b.ControlMsgsPerReq, b.Bottleneck)
+		*dst = out
+		return nil
 	}
 }

@@ -28,12 +28,23 @@ func TestUnknownMode(t *testing.T) {
 }
 
 func TestParseProcsRejectsGarbage(t *testing.T) {
-	if _, err := parseProcs("1,x,4"); err == nil {
-		t.Fatal("garbage proc list accepted")
+	var sweep []int
+	for _, bad := range []string{"1,x,4", "0", " , "} {
+		if err := intList(&sweep)(bad); err == nil {
+			t.Errorf("garbage list %q accepted", bad)
+		}
 	}
-	sweep, err := parseProcs("1,2,4")
-	if err != nil || len(sweep) != 3 || sweep[2] != 4 {
-		t.Fatalf("parseProcs(1,2,4) = %v, %v", sweep, err)
+	if err := intList(&sweep)("1,2,4"); err != nil || len(sweep) != 3 || sweep[2] != 4 {
+		t.Fatalf("intList(1,2,4) = %v, %v", sweep, err)
+	}
+	if err := run([]string{"-scenario", "core-scaling", "-procs", "1,x"}); err == nil {
+		t.Fatal("-procs garbage accepted")
+	}
+}
+
+func TestSwarmHasItsOwnRunner(t *testing.T) {
+	if err := run([]string{"-scenario", "swarm"}); err == nil {
+		t.Fatal("swarm ran without its process runner")
 	}
 }
 
@@ -67,8 +78,8 @@ func TestSessionScenarioCLI(t *testing.T) {
 }
 
 func TestFsFlagSet(t *testing.T) {
-	// The storm scenario only honors -clients when it was set explicitly;
-	// otherwise StormSpec's own default (120) wins over the flag default (16).
+	// An explicit -clients reaches the storm scenario; unset, StormSpec's
+	// own default (120) applies.
 	if err := run([]string{"-scenario", "invalidation-storm", "-seed", "1",
 		"-subtrees", "2", "-leaves-per", "2", "-clients", "12", "-writes", "2",
 		"-k", "1", "-settle-ms", "20"}); err != nil {

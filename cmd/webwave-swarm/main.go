@@ -11,11 +11,10 @@
 // The default shape is the headline scenario: 1 + 4×25 = 101 processes at
 // tree depth 6, rack 0 killed a third of the way in. Availability, repair
 // and reabsorption times, warm-recovery counts and harness health all land
-// in the JSON report (gate with `benchgate -swarm-report`).
+// in the JSON report (gate it with `benchgate -report R -baseline B`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -96,17 +95,7 @@ func run(args []string) error {
 		rep.FailedRevives, rep.ForcedTeardowns)
 
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := workload.WriteJSON(*jsonPath, rep); err != nil {
 			return err
 		}
 		fmt.Printf("  report written to %s\n", *jsonPath)

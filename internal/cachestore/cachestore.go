@@ -218,6 +218,17 @@ func (s *Store) Peek(doc core.DocID) ([]byte, bool) {
 	return nil, false
 }
 
+// PeekVersion is Peek plus the copy's version number.
+func (s *Store) PeekVersion(doc core.DocID) ([]byte, uint64, bool) {
+	sh := s.shardFor(doc)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.entries[doc]; ok {
+		return e.body, e.version, true
+	}
+	return nil, 0, false
+}
+
 // Contains reports presence without touching recency.
 func (s *Store) Contains(doc core.DocID) bool {
 	sh := s.shardFor(doc)

@@ -70,6 +70,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		sh := s.shardFor(doc)
 		if st.Version > 0 {
 			sh.docVer[doc] = st.Version
+			sh.gateVer[doc] = st.Version
 			if sh.jVers == nil {
 				sh.jVers = make(map[core.DocID]uint64, 16)
 			}
@@ -122,6 +123,21 @@ func (s *Server) diskGet(doc core.DocID) ([]byte, bool) {
 		return nil, false
 	}
 	return s.disk.Get(doc)
+}
+
+// heldCopy returns the held body of doc and the version stored with it,
+// from whichever tier has it, with Peek semantics in both — copy handoffs
+// are not demand. The disk tier stores bodies only; a disk-resident copy's
+// version is the one journaled with it.
+func (sh *shard) heldCopy(doc core.DocID) ([]byte, uint64, bool) {
+	if body, ver, ok := sh.s.cache.PeekVersion(doc); ok {
+		return body, ver, true
+	}
+	if sh.s.disk == nil {
+		return nil, 0, false
+	}
+	body, ok := sh.s.disk.Peek(doc)
+	return body, sh.jVers[doc], ok
 }
 
 // bodyOf returns a held body from whichever tier has it, with Peek

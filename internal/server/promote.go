@@ -335,10 +335,10 @@ func (sh *shard) promoteOut(child int, doc core.DocID, rate float64) {
 		sh.targets[doc] = 0
 	}
 	sh.dutyLedger(child)[doc] += rate
-	body, _ := sh.s.bodyOf(doc) // a handoff is not local demand
+	body, ver, _ := sh.heldCopy(doc)
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypePromote, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: sh.docVer[doc],
+		Doc: doc, Rate: rate, Body: body, DocVersion: ver,
 	})
 }
 

@@ -154,11 +154,17 @@ type shard struct {
 	inflight  map[core.DocID]*flight
 	// docVer is the latest document version this shard has seen per doc
 	// (from republish/invalidate frames, delegated copies, or responses);
-	// it only moves forward. staleDocs marks documents whose body was
-	// dropped by an invalidation while their filter and duty stayed —
-	// cleared when a passing response re-admits the fresh copy (the lease
-	// refresh, update.go).
+	// it only moves forward, and a held copy never lags it (a newer version
+	// seen on a passing response replaces the older copy). gateVer is the
+	// version write frames gate on: advanced by applied writes and by copy
+	// handoffs (delegations, tunnel replies, promotions, warm recovery),
+	// never by a passing response — so a version first seen on a response
+	// never gets its own write dropped before it reaches the children.
+	// staleDocs marks documents whose body was dropped while their filter
+	// and duty stayed — cleared when a passing response re-admits the fresh
+	// copy (the lease refresh, update.go).
 	docVer      map[core.DocID]uint64
+	gateVer     map[core.DocID]uint64
 	staleDocs   map[core.DocID]bool
 	flightRetry time.Duration
 	batch       []event
@@ -222,6 +228,7 @@ func newShard(s *Server, idx int) *shard {
 		pending:     make(map[pendingKey]pendingEntry, 64),
 		inflight:    make(map[core.DocID]*flight, 16),
 		docVer:      make(map[core.DocID]uint64, 16),
+		gateVer:     make(map[core.DocID]uint64, 16),
 		staleDocs:   make(map[core.DocID]bool, 4),
 		batch:       make([]event, 0, cfg.MaxBatch),
 		totalServed: newRateWindow(cfg.Window, 8),
@@ -718,8 +725,17 @@ func (sh *shard) handle(ev event) {
 	case netproto.TypeResponse:
 		// A response is also a version observation: learn the served
 		// version before routing, so the lease check below compares
-		// against the freshest high-water mark.
-		sh.bumpDocVer(env.Doc, env.DocVersion)
+		// against the freshest high-water mark. A newer version can pass
+		// before its write frame arrives (the origin's fast path answers
+		// ahead of the write lane); the held copy is then stale and takes
+		// the passing body in place, as a republish would install it.
+		if sh.bumpDocVer(env.Doc, env.DocVersion) && sh.s.holdsCopy(env.Doc) {
+			var body []byte
+			if !env.NotFound && len(env.Body) > 0 {
+				body = env.Body
+			}
+			sh.replaceCopy(env.Doc, body, env.DocVersion)
+		}
 		key := pendingKey{origin: env.Origin, reqID: env.ReqID}
 		if pe, ok := sh.pending[key]; ok {
 			delete(sh.pending, key)
@@ -793,10 +809,10 @@ func (sh *shard) handle(ev event) {
 		// our high-water mark goes unanswered — shipping an older copy
 		// across the barrier would plant exactly the stale body the token
 		// exists to bypass.
-		if body, ok := sh.s.bodyOf(env.Doc); ok && env.MinVersion <= sh.docVer[env.Doc] {
+		if body, ver, ok := sh.heldCopy(env.Doc); ok && env.MinVersion <= ver {
 			sh.sendOn(ev.conn, &netproto.Envelope{
 				Kind: netproto.TypeTunnelReply, From: sh.s.cfg.ID, To: env.From,
-				Doc: env.Doc, Body: body, DocVersion: sh.docVer[env.Doc],
+				Doc: env.Doc, Body: body, DocVersion: ver,
 			})
 		}
 
@@ -1051,7 +1067,18 @@ func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
 	netproto.PutEnvelope(fwd)
 }
 
-// admit caches a document copy under the byte budget and wires the
+// admit caches a handed-over copy (a delegation, tunnel reply or
+// promotion). The sender held ver, so a write frame at or below it is a
+// duplicate here: the handoff advances the write gate, then admits the
+// copy like any other.
+func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
+	if ver >= sh.docVer[doc] && ver > sh.gateVer[doc] {
+		sh.gateVer[doc] = ver
+	}
+	return sh.admitCopy(doc, body, ver)
+}
+
+// admitCopy caches a document copy under the byte budget and wires the
 // eviction feedback into the protocol. It returns whether the copy was
 // admitted (a body that cannot fit is rejected, not cached).
 //
@@ -1062,7 +1089,7 @@ func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
 // serve target and rate window, and hints the eviction to the parent with
 // the abandoned target rate so a surviving copy upstream absorbs the duty
 // instead of waiting a diffusion period to notice the imbalance.
-func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
+func (sh *shard) admitCopy(doc core.DocID, body []byte, ver uint64) bool {
 	if ver < sh.docVer[doc] {
 		// A stale body (a delegation or tunnel reply that raced a
 		// republish): refuse it — admitting it would roll the document
@@ -1126,8 +1153,8 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 		// entry — which sits in no tombstone list and would otherwise stay
 		// dead (fast path disabled) forever. Republish from the live copy.
 		if e := (*sh.pub.Load())[doc]; e != nil && e.dead.Load() {
-			if body, ok := sh.s.cache.Peek(doc); ok {
-				sh.publish(doc, body, false, sh.docVer[doc])
+			if body, ver, ok := sh.s.cache.PeekVersion(doc); ok {
+				sh.publish(doc, body, false, ver)
 				sh.refreshCredit(doc)
 			}
 		}
@@ -1156,15 +1183,15 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 
 func (sh *shard) serveRequest(ev event) {
 	env := ev.env
-	body, cached := sh.s.cache.Get(env.Doc)
+	body, ver, cached := sh.s.cache.GetVersion(env.Doc)
 	if !cached {
 		if dbody, ok := sh.s.diskGet(env.Doc); ok {
 			// Disk-tier hit: serve the spilled copy and re-admit it to
 			// memory so subsequent requests take the fast path again (the
 			// disk copy stays — bodies are immutable, demotion is free).
 			sh.nDiskHits++
-			sh.readmitFromDisk(env.Doc, dbody)
-			body, cached = dbody, true
+			body, ver, cached = dbody, sh.jVers[env.Doc], true
+			sh.readmitFromDisk(env.Doc, body, ver)
 		}
 	}
 	if !cached && !sh.s.isRoot {
@@ -1182,11 +1209,7 @@ func (sh *shard) serveRequest(ev event) {
 		Kind: netproto.TypeResponse, From: sh.s.cfg.ID, To: env.Origin,
 		Doc: env.Doc, Origin: env.Origin, ReqID: env.ReqID,
 		ServedBy: sh.s.cfg.ID, Hops: env.Hops,
-		Body: body, NotFound: !cached,
-		// Stale copies are dropped the instant a newer version is known
-		// (republish swaps in place, invalidate deletes), so a locally
-		// served body is always at the shard's high-water version.
-		DocVersion: sh.docVer[env.Doc],
+		Body: body, NotFound: !cached, DocVersion: ver,
 	}
 	sh.sendOn(ev.conn, resp)
 	netproto.PutEnvelope(resp)
@@ -1197,11 +1220,11 @@ func (sh *shard) serveRequest(ev event) {
 // journaled as admitted, and the disk copy stays where it is. If memory
 // still refuses the body (budget smaller than the body), the document simply
 // stays disk-resident.
-func (sh *shard) readmitFromDisk(doc core.DocID, body []byte) {
-	evs, ok := sh.s.cache.PutVersion(doc, body, sh.docVer[doc])
+func (sh *shard) readmitFromDisk(doc core.DocID, body []byte, ver uint64) {
+	evs, ok := sh.s.cache.PutVersion(doc, body, ver)
 	sh.applyEvictions(evs)
 	if ok {
-		sh.publish(doc, body, false, sh.docVer[doc])
+		sh.publish(doc, body, false, ver)
 		sh.refreshCredit(doc)
 	}
 }
@@ -1235,10 +1258,10 @@ func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	}
 	sh.nDelegOut++
 	sh.dutyLedger(child)[doc] += rate // credited back if the child sheds or dies
-	body, _ := sh.s.bodyOf(doc)       // a handoff is not local demand
+	body, ver, _ := sh.heldCopy(doc)
 	sh.sendOn(conn, &netproto.Envelope{
 		Kind: netproto.TypeDelegate, From: sh.s.cfg.ID, To: child,
-		Doc: doc, Rate: rate, Body: body, DocVersion: sh.docVer[doc],
+		Doc: doc, Rate: rate, Body: body, DocVersion: ver,
 	})
 }
 

@@ -36,12 +36,27 @@ func (sh *shard) bumpDocVer(doc core.DocID, ver uint64) bool {
 	return true
 }
 
+// gateWrite admits a write frame for ver unless this node already applied
+// a write or took a handoff at least as new (a duplicate or a reordered
+// stale frame). A version seen only on a passing response does not count:
+// that response refreshed (or dropped) the held copy, but the children
+// still need the write. Reports whether ver is also news to the held copy;
+// if not, the write only diffuses.
+func (sh *shard) gateWrite(doc core.DocID, ver uint64) (apply, newer bool) {
+	if ver <= sh.gateVer[doc] {
+		sh.nStaleDrops++
+		return false, false
+	}
+	sh.gateVer[doc] = ver
+	return true, sh.bumpDocVer(doc, ver)
+}
+
 // handleRepublish applies one versioned body push: gate on the version,
 // refresh (origin or copy-holder) locally, diffuse down the tree.
 func (sh *shard) handleRepublish(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
-	if !sh.bumpDocVer(doc, ver) {
-		sh.nStaleDrops++
+	apply, newer := sh.gateWrite(doc, ver)
+	if !apply {
 		return
 	}
 	sh.nRepublishesIn++
@@ -50,17 +65,23 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 		body = env.Body // safe to retain: recycled envelopes drop, never reuse, Body
 	}
 	switch {
+	case !newer:
 	case sh.s.isRoot:
 		sh.originWrite(doc, body, ver)
 		sh.answerParked(doc)
 	case sh.s.holdsCopy(doc):
-		if body == nil || !sh.refreshCopy(doc, body, ver) {
-			// No body to install (or neither tier kept it): degrade to an
-			// invalidation so the stale copy never serves again.
-			sh.invalidateLocal(doc)
-		}
+		sh.replaceCopy(doc, body, ver)
 	}
 	sh.diffuseDown(doc, ver, body)
+}
+
+// replaceCopy installs body at version ver over the held copy of doc. With
+// no body to install (or neither tier keeping it) it degrades to an
+// invalidation, so the stale copy never serves again.
+func (sh *shard) replaceCopy(doc core.DocID, body []byte, ver uint64) {
+	if body == nil || !sh.refreshCopy(doc, body, ver) {
+		sh.invalidateLocal(doc)
+	}
 }
 
 // handleInvalidate applies one version-only write: gate, drop any local
@@ -69,14 +90,16 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 // always serve the latest version — but it never travels further.
 func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 	doc, ver := env.Doc, env.DocVersion
-	if !sh.bumpDocVer(doc, ver) {
-		sh.nStaleDrops++
+	apply, newer := sh.gateWrite(doc, ver)
+	if !apply {
 		return
 	}
 	sh.nInvalidationsIn++
-	if sh.s.isRoot && len(env.Body) > 0 {
+	switch {
+	case !newer:
+	case sh.s.isRoot && len(env.Body) > 0:
 		sh.originWrite(doc, env.Body, ver)
-	} else {
+	default:
 		sh.invalidateLocal(doc)
 	}
 	if sh.s.isRoot {
@@ -180,7 +203,7 @@ func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
 	if env.DocVersion < sh.docVer[env.Doc] {
 		return // upstream served an older version: keep waiting for the write
 	}
-	if sh.admit(env.Doc, env.Body, env.DocVersion) {
+	if sh.admitCopy(env.Doc, env.Body, env.DocVersion) {
 		delete(sh.staleDocs, env.Doc)
 		sh.nLeaseRefreshes++
 		sh.refreshCredit(env.Doc)
@@ -188,21 +211,19 @@ func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
 }
 
 // answerParked serves session requests parked at the root (sessionGate) for
-// a version that just arrived: once the high-water mark satisfies a
-// waiter's floor it is answered from the pinned origin copy — the origin is
-// never stale relative to itself, so the copy is stamped at docVer exactly
-// like serveRequest does. Waiters demanding a still-newer version stay
-// parked for the next write (or the sweep's expiry).
+// a version that just arrived: once the origin copy's version satisfies a
+// waiter's floor it is answered from that copy. Waiters demanding a
+// still-newer version stay parked for the next write (or the sweep's
+// expiry).
 func (sh *shard) answerParked(doc core.DocID) {
 	fl := sh.inflight[doc]
 	if fl == nil || len(fl.waiters) == 0 {
 		return
 	}
-	body, ok := sh.s.bodyOf(doc)
+	body, ver, ok := sh.heldCopy(doc)
 	if !ok {
 		return
 	}
-	ver := sh.docVer[doc]
 	var kept []waiter
 	out := netproto.GetEnvelope()
 	for _, w := range fl.waiters {

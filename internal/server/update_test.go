@@ -306,3 +306,84 @@ func TestWarmRestartRecoversVersions(t *testing.T) {
 	}
 	netproto.PutEnvelope(resp)
 }
+
+// TestResponseBeforeRepublishAtCopyHolder replays the race where a newer
+// version reaches a copy holder on a passing response (the origin's fast
+// path answered a forwarded request with v2) before the republish frame
+// for v2 arrives on the write lane. The holder must not keep serving its
+// v1 body under the v2 label, and the late republish must still be applied
+// and diffused to the holder's own children rather than dropped as stale.
+func TestResponseBeforeRepublishAtCopyHolder(t *testing.T) {
+	netw := newTestNetwork()
+	startServer(t, Config{
+		ID: 0, Addr: "root", ParentID: -1,
+		Docs:         map[core.DocID][]byte{"d": []byte("v1")},
+		Network:      netw,
+		GossipPeriod: 15 * time.Millisecond,
+	})
+	mid := startServer(t, Config{
+		ID: 1, Addr: "mid", ParentID: 0, ParentAddr: "root", HomeAddr: "root",
+		Network:      netw,
+		GossipPeriod: 15 * time.Millisecond,
+	})
+
+	// A child (id 2) registers at mid with its first gossip.
+	kid := dial(t, netw, "mid")
+	if err := kid.Send(&netproto.Envelope{Kind: netproto.TypeGossip, From: 2, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); mid.childConn(2) == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("child never registered")
+		}
+	}
+
+	// mid holds a delegated copy of d at version 1.
+	parent := dial(t, netw, "mid")
+	if err := parent.Send(&netproto.Envelope{
+		Kind: netproto.TypeDelegate, From: 0, To: 1, Doc: "d", Rate: 50, Body: []byte("v1"), DocVersion: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitCached(t, netw, "mid", map[core.DocID]bool{"d": true})
+
+	// v2 passes through mid on a response before its republish frame.
+	// Then a session that has seen v2 reads at mid — on the same
+	// connection, so mid's shard handles the two in order: whatever mid
+	// serves, the body must be the one its version label names.
+	if err := parent.Send(&netproto.Envelope{
+		Kind: netproto.TypeResponse, From: 0, To: 1, Doc: "d", Origin: 7, ReqID: 99,
+		ServedBy: 0, Body: []byte("v2"), DocVersion: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Send(&netproto.Envelope{
+		Kind: netproto.TypeRequest, From: -1, To: 1, Origin: 1, ReqID: 2, Doc: "d", MinVersion: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp := recvKind(t, parent, netproto.TypeResponse, 2*time.Second)
+	if resp.DocVersion != 2 || string(resp.Body) != "v2" {
+		t.Fatalf("session read after the passing response = body %q version %d, want v2/2", resp.Body, resp.DocVersion)
+	}
+	netproto.PutEnvelope(resp)
+
+	// The republish for v2 lands late: applied, not a stale drop, and
+	// diffused to the child (a version-only invalidate: no duty edge).
+	if err := parent.Send(&netproto.Envelope{
+		Kind: netproto.TypeRepublish, From: 0, To: 1, Doc: "d", DocVersion: 2, Body: []byte("v2"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inv := recvKind(t, kid, netproto.TypeInvalidate, 2*time.Second)
+	if inv.Doc != "d" || inv.DocVersion != 2 {
+		t.Fatalf("diffused write = %s v%d, want d v2", inv.Doc, inv.DocVersion)
+	}
+	netproto.PutEnvelope(inv)
+	st := waitStats(t, netw, "mid", "republish applied", func(st *netproto.Stats) bool {
+		return st.RepublishesIn == 1
+	})
+	if st.StaleDrops != 0 {
+		t.Fatalf("stale drops %d, want 0: the late republish was discarded", st.StaleDrops)
+	}
+}

@@ -15,7 +15,7 @@ package workload
 // must lose at least DropRatio times more hit rate than two-tier (the
 // thrash is real, the fix is real), and two-tier must actually serve from
 // disk (disk_hits > 0). Wall-clock measurement: NOT deterministic;
-// benchgate applies thresholds, not byte equality.
+// BigramReport.Checks applies thresholds, not byte equality.
 
 import (
 	"fmt"
@@ -32,7 +32,7 @@ const BigramSchema = "webwave-bigram/v1"
 type BigramSpec struct {
 	Seed      int64   `json:"seed"`
 	Nodes     int     `json:"nodes"`      // tree size; default 15
-	Clients   int     `json:"clients"`    // closed-loop injectors; default 24
+	Clients   int     `json:"clients"`    // closed-loop injectors; default 16
 	NumDocs   int     `json:"num_docs"`   // corpus size; default 256
 	BodyBytes int     `json:"body_bytes"` // document body size; default 4096
 	ZipfSkew  float64 `json:"zipf_skew"`  // popularity skew; default 0.7
@@ -53,7 +53,7 @@ func (s BigramSpec) WithDefaults() BigramSpec {
 		s.Nodes = 15
 	}
 	if s.Clients <= 0 {
-		s.Clients = 24
+		s.Clients = 16 // the committed baseline's figure
 	}
 	if s.NumDocs <= 0 {
 		s.NumDocs = 256
@@ -107,13 +107,52 @@ type BigramReport struct {
 	TwoTierHitDrop float64 `json:"two_tier_hit_drop"`
 }
 
+// Bigger-than-ram gate thresholds.
+const (
+	bigramMaxTwoTierRegress = 0.10 // two-tier hit-rate drop vs the in-ram ceiling, fractional
+	bigramMinDropRatio      = 2.0  // mem-only hit drop as a multiple of two-tier's
+	bigramMinMemOnlyDrop    = 0.10 // mem-only hit drop that proves the corpus exceeds memory
+)
+
+// Checks gates the disk-tier floor. All three figures come from the same
+// report — the in-ram ceiling is re-measured every run, so the comparison
+// is same-hardware by construction and the baseline only pins the spec (a
+// corpus that fits in memory would gate nothing). A gentle workload where
+// nothing thrashes fails rather than vacuously passing.
+func (r *BigramReport) Checks(base *BigramReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	twoTierDrop := max(r.TwoTierHitDrop, 0) // two-tier beating in-ram only makes the ratio easier
+	ratio := 999.0                          // display only: a zero denominator is effectively infinite
+	if twoTierDrop > 0 {
+		ratio = r.MemOnlyHitDrop / twoTierDrop
+	}
+	return []Check{
+		check(r.TwoTier.HitRate >= r.InRAM.HitRate*(1-bigramMaxTwoTierRegress),
+			"two-tier hit rate %.4f within %.0f%% of in-ram %.4f",
+			r.TwoTier.HitRate, bigramMaxTwoTierRegress*100, r.InRAM.HitRate),
+		check(r.MemOnlyHitDrop >= bigramMinMemOnlyDrop,
+			"mem-only hit drop %.4f (floor %.2f — the constrained budget must actually thrash)",
+			r.MemOnlyHitDrop, bigramMinMemOnlyDrop),
+		check(r.MemOnlyHitDrop >= bigramMinDropRatio*twoTierDrop,
+			"mem-only drop %.4f is %.1fx two-tier drop %.4f (floor %.1fx)",
+			r.MemOnlyHitDrop, ratio, r.TwoTierHitDrop, bigramMinDropRatio),
+		check(r.TwoTier.DiskHits > 0,
+			"two-tier disk hits %d (the tier must actually serve)", r.TwoTier.DiskHits),
+	}, nil
+}
+
 // RunBigram executes the three passes and assembles the report. The log
 // callback (may be nil) receives one line per pass.
-func RunBigram(sp BigramSpec, logf func(format string, args ...any)) (*BigramReport, error) {
+func RunBigram(sp BigramSpec, logf Logf) (*BigramReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario bigger-than-ram: %d nodes, %d docs x %d B (corpus %d B), memory budget %d B, disk budget %d B, %.1fs per pass",
+		sp.Nodes, sp.NumDocs, sp.BodyBytes, int64(sp.NumDocs)*int64(sp.BodyBytes),
+		sp.CacheBudgetBytes, sp.DiskBudgetBytes, sp.Duration)
 	base := ClosedLoopSpec{
 		Seed: sp.Seed, Nodes: sp.Nodes, Clients: sp.Clients,
 		NumDocs: sp.NumDocs, BodyBytes: sp.BodyBytes, ZipfSkew: sp.ZipfSkew,

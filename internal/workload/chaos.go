@@ -10,7 +10,7 @@ package workload
 // post-repair Jain fairness — alongside a no-failure control run of the
 // identical schedule, so the Jain figure is judged as a ratio rather than
 // an absolute. Wall-clock measurement: NOT deterministic; the CI gate
-// (benchgate -chaos-report) applies thresholds, not byte equality.
+// (ChaosReport.Checks) applies thresholds, not byte equality.
 
 import (
 	"fmt"
@@ -140,14 +140,44 @@ type chaosOpts struct {
 	cacheBudget, diskBudget int64
 }
 
+// Chaos gate thresholds.
+const (
+	chaosMinAvailability = 0.95 // served/offered under the scheduled kills
+	chaosMinJainRatio    = 0.90 // post-repair Jain relative to the no-failure run
+)
+
+// Checks gates the fault-tolerance floor. The baseline pins every spec
+// field — including the kill schedule and the detector period, since a
+// faster heartbeat or gentler downtime would ease the scenario as surely
+// as a smaller tree. Thresholds rather than byte comparison because the
+// run is wall-clock.
+func (r *ChaosReport) Checks(base *ChaosReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	return []Check{
+		check(r.Availability >= chaosMinAvailability,
+			"availability %.4f under %d kills (floor %.4f)", r.Availability, len(r.Killed), chaosMinAvailability),
+		check(r.JainRatio >= chaosMinJainRatio,
+			"post-repair jain %.3f = %.3f of the no-failure run (floor %.2f)",
+			r.PostRepairJain, r.JainRatio, chaosMinJainRatio),
+		check(r.Reconnects >= 1, "reconnects %d (failover must have fired)", r.Reconnects),
+		check(r.FinalOrphaned == 0, "orphaned at end %d (tree must be repaired)", r.FinalOrphaned),
+		check(r.ReabsorbSeconds >= 0, "reabsorb %.2fs (repair must complete within the run)", r.ReabsorbSeconds),
+		check(r.FailedRevives == 0, "failed revives %d (every scheduled restart must succeed)", r.FailedRevives),
+	}, nil
+}
+
 // RunChaos executes the control pass and the chaos pass on the identical
 // tree, catalog and schedule, and assembles the report. The log callback
 // (may be nil) receives one line per pass.
-func RunChaos(sp ChaosSpec, logf func(format string, args ...any)) (*ChaosReport, error) {
+func RunChaos(sp ChaosSpec, logf Logf) (*ChaosReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario chaos: %d nodes, %d docs, %.0f req/s for %.1fs; killing %.0f%% of interior nodes at %.1fs for %.1fs (heartbeat %dms)",
+		sp.Nodes, sp.NumDocs, sp.TotalRate, sp.Duration, sp.KillFraction*100, sp.KillAt, sp.Downtime, sp.HeartbeatMS)
 	t, docs, sched, killed, err := chaosSetup(sp)
 	if err != nil {
 		return nil, err
@@ -188,6 +218,8 @@ func RunChaos(sp ChaosSpec, logf func(format string, args ...any)) (*ChaosReport
 	if control.tailJain > 0 {
 		rep.JainRatio = round6(chaos.tailJain / control.tailJain)
 	}
+	logf("  jain ratio %.3f, reclaimed duty %.1f req/s, absorbed duty %.1f req/s, heartbeat misses %d, orphaned at end %d",
+		rep.JainRatio, rep.ReclaimedDuty, rep.AbsorbedDuty, rep.HeartbeatMisses, rep.FinalOrphaned)
 	return rep, nil
 }
 

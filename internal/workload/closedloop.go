@@ -251,3 +251,96 @@ func RunClosedLoop(sp ClosedLoopSpec) (ClosedLoopResult, error) {
 	}
 	return res, nil
 }
+
+// WireSchema identifies wire-throughput reports.
+const WireSchema = "webwave-wire-throughput/v1"
+
+// WireSpec parameterizes the wire-throughput scenario: the same tree,
+// documents and client pressure driven once per wire protocol version over
+// real TCP loopback sockets.
+type WireSpec struct {
+	Seed      int64
+	Nodes     int     // tree size; default 15
+	Clients   int     // closed-loop injector connections; default 16
+	Duration  float64 // measured seconds per protocol version; default 3
+	BodyBytes int     // document body size; default 1024
+}
+
+// WireRun is one protocol version's measurement.
+type WireRun struct {
+	WireVersion   int     `json:"wire_version"`
+	Responses     int64   `json:"responses"`
+	ThroughputRPS float64 `json:"throughput_rps"`
+	Jain          float64 `json:"jain"`
+	MeanHops      float64 `json:"mean_hops"`
+	ServingNodes  int     `json:"serving_nodes"`
+	Forwarded     int64   `json:"forwarded"`
+	Coalesced     int64   `json:"coalesced"`
+}
+
+// WireReport is the wire-throughput JSON document. It is a wall-clock
+// measurement (NOT deterministic) and carries no gate.
+type WireReport struct {
+	Schema          string    `json:"schema"`
+	Scenario        string    `json:"scenario"`
+	Seed            int64     `json:"seed"`
+	Nodes           int       `json:"nodes"`
+	Clients         int       `json:"clients"`
+	DurationS       float64   `json:"duration_s"`
+	BodyBytes       int       `json:"body_bytes"`
+	NumDocs         int       `json:"num_docs"`
+	Runs            []WireRun `json:"runs"`
+	SpeedupV2OverV1 float64   `json:"speedup_v2_over_v1"`
+}
+
+// RunWire drives the closed-loop harness over the legacy v1 (JSON) and the
+// v2 (binary, pooled framing, batched flushing) wire protocols and reports
+// sustained responses/second per version and the v2/v1 speedup.
+func RunWire(sp WireSpec, logf Logf) (*WireReport, error) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	if sp.Nodes <= 0 {
+		sp.Nodes = 15
+	}
+	if sp.Clients <= 0 {
+		sp.Clients = 16
+	}
+	if sp.Duration <= 0 {
+		sp.Duration = 3
+	}
+	if sp.BodyBytes <= 0 {
+		sp.BodyBytes = 1024
+	}
+	const numDocs = 32
+	logf("scenario wire-throughput: %d nodes over TCP loopback, %d closed-loop clients, %d docs x %dB, %.1fs per version",
+		sp.Nodes, sp.Clients, numDocs, sp.BodyBytes, sp.Duration)
+	rep := &WireReport{
+		Schema: WireSchema, Scenario: "wire-throughput",
+		Seed: sp.Seed, Nodes: sp.Nodes, Clients: sp.Clients,
+		DurationS: sp.Duration, BodyBytes: sp.BodyBytes, NumDocs: numDocs,
+	}
+	for _, version := range []int{1, 2} {
+		res, err := RunClosedLoop(ClosedLoopSpec{
+			Seed: sp.Seed, Nodes: sp.Nodes, Clients: sp.Clients,
+			NumDocs: numDocs, BodyBytes: sp.BodyBytes, ZipfSkew: 1.0,
+			Duration: sp.Duration, Network: transport.TCPNetwork{Version: version},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("wire-throughput v%d: %w", version, err)
+		}
+		run := WireRun{
+			WireVersion: version, Responses: res.Responses, ThroughputRPS: res.ThroughputRPS,
+			Jain: res.Jain, MeanHops: res.MeanHops, ServingNodes: res.ServingNodes,
+			Forwarded: res.Forwarded, Coalesced: res.Coalesced,
+		}
+		rep.Runs = append(rep.Runs, run)
+		logf("  v%d: %9.0f req/s  (%d responses, jain %.3f, hops %.2f, %d nodes serving, coalesced %d)",
+			version, run.ThroughputRPS, run.Responses, run.Jain, run.MeanHops, run.ServingNodes, run.Coalesced)
+	}
+	if rep.Runs[0].ThroughputRPS > 0 {
+		rep.SpeedupV2OverV1 = rep.Runs[1].ThroughputRPS / rep.Runs[0].ThroughputRPS
+	}
+	logf("  v2/v1 speedup: %.2fx", rep.SpeedupV2OverV1)
+	return rep, nil
+}

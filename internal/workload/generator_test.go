@@ -24,7 +24,7 @@ func genTrace(t *testing.T, sp Spec, seed int64) *Trace {
 }
 
 func TestTraceDeterministic(t *testing.T) {
-	for _, sp := range Scenarios() {
+	for _, sp := range TraceSpecs() {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			a := genTrace(t, sp, 42).Canonical()

@@ -161,13 +161,52 @@ func (r *HotkeyReport) Run(k int) *HotkeyRun {
 	return nil
 }
 
+// Hot-key gate thresholds.
+const (
+	hotkeyMinScaling   = 2.0  // widest-forest / k=1 throughput
+	hotkeyMinJainRatio = 0.90 // widest-forest Jain relative to the k=1 run
+)
+
+// Checks gates the replication-forest floor: the widest forest must beat
+// the single tree in throughput while keeping its fairness, and every
+// multi-tree run must complete a promote/demote round trip — promotion
+// during the ramp AND demotion after the decay, so the hysteresis can never
+// be satisfied by a forest that promotes and sticks. The baseline pins the
+// spec, K sweep included.
+func (r *HotkeyReport) Checks(base *HotkeyReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	out := []Check{
+		check(r.Run(1) != nil, "k=1 baseline run present in the sweep"),
+		check(r.ScalingX >= hotkeyMinScaling,
+			"widest forest scales %.2fx over k=1 (floor %.2fx)", r.ScalingX, hotkeyMinScaling),
+		check(r.JainRatio >= hotkeyMinJainRatio,
+			"widest forest jain ratio %.3f vs k=1 (floor %.2f)", r.JainRatio, hotkeyMinJainRatio),
+	}
+	for _, run := range r.Runs {
+		if run.K <= 1 {
+			continue
+		}
+		out = append(out,
+			check(run.Promotions >= 1 && run.Demotions >= 1,
+				"k=%d promote/demote round trip (%d promotions, %d demotions)",
+				run.K, run.Promotions, run.Demotions),
+			check(run.PromotedAtS >= 0 && run.DemotedAtS > run.PromotedAtS,
+				"k=%d promoted at %.1fs, demoted at %.1fs", run.K, run.PromotedAtS, run.DemotedAtS))
+	}
+	return out, nil
+}
+
 // RunHotkey executes the sweep and assembles the report. The log callback
 // (may be nil) receives one line per forest width.
-func RunHotkey(sp HotkeySpec, logf func(format string, args ...any)) (*HotkeyReport, error) {
+func RunHotkey(sp HotkeySpec, logf Logf) (*HotkeyReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario hot-key: %d nodes, forest widths %v; one document ramping %.0f -> %.0f req/s against %.0f req/s per server",
+		sp.Nodes, sp.Ks, sp.BaseRate, sp.BaseRate*sp.PeakFactor, sp.NodeCapacity)
 	if sp.Window > sp.Duration {
 		return nil, fmt.Errorf("hotkey: window %v > duration %v", sp.Window, sp.Duration)
 	}
@@ -214,6 +253,7 @@ func RunHotkey(sp HotkeySpec, logf func(format string, args ...any)) (*HotkeyRep
 			rep.JainRatio = round6(widest.Jain / base.Jain)
 		}
 	}
+	logf("  scaling %.2fx throughput at the widest forest vs k=1, jain ratio %.3f", rep.ScalingX, rep.JainRatio)
 	return rep, nil
 }
 

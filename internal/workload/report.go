@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"webwave/internal/baseline"
 	"webwave/internal/stats"
@@ -206,12 +204,66 @@ func analyticBaselines(t *tree.Tree, tr *Trace, sp Spec) ([]BaselineResult, erro
 	return out, nil
 }
 
-// WriteJSON writes the report as indented JSON. Identical runs produce
-// identical bytes.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// log prints the run summary: one row per system, the cache blocks, and
+// the analytic capacity models.
+func (r *Report) log(logf Logf) {
+	logf("scenario %s (%s mode, seed %d): %d nodes (height %d), %d requests @ %.1f req/s, %d churn events",
+		r.Scenario, r.Mode, r.Seed, r.Tree.Nodes, r.Tree.Height, r.Requests, r.OfferedRPS, r.ChurnEvents)
+	logf("%-12s %9s %7s %8s %8s %8s %8s %9s %9s",
+		"system", "thr(r/s)", "failed", "p50(ms)", "p95(ms)", "p99(ms)", "hops", "jain", "max/mean")
+	for _, s := range r.Systems {
+		logf("%-12s %9.1f %7d %8.2f %8.2f %8.2f %8.2f %9.3f %9.2f",
+			s.Name, s.ThroughputRPS, s.Failed, s.Latency.P50MS, s.Latency.P95MS, s.Latency.P99MS,
+			s.MeanHops, s.MeanJain, s.WorstMaxOverMean)
+	}
+	for _, s := range r.Systems {
+		if c := s.Cache; c != nil {
+			logf("%-12s cache: policy=%-4s budget=%dB hit=%.3f evictions=%d evictedMB=%.1f maxnode=%dB overBudget=%v",
+				s.Name, c.Policy, c.BudgetBytes, c.HitRate, c.Evictions,
+				float64(c.EvictedBytes)/(1<<20), c.MaxNodeBytes, c.OverBudget)
+		}
+	}
+	logf("analytic capacity models (steady-state mean demand):")
+	for _, b := range r.Baselines {
+		logf("  %-12s thr=%8.1f maxload=%8.1f nodes=%3d ctl/req=%.2f bottleneck=%s",
+			b.Name, b.ThroughputRPS, b.MaxLoadRPS, b.ServingNodes, b.ControlMsgsPerReq, b.Bottleneck)
+	}
+}
+
+// cacheMaxRegress is the largest fractional drop of a budgeted system's
+// hit rate below the baseline's that the cache gate accepts.
+const cacheMaxRegress = 0.10
+
+// Checks gates the byte-budgeted systems: each one the baseline carries
+// must still be present, stay within its byte budget, and keep its hit
+// rate within cacheMaxRegress of the baseline's.
+func (r *Report) Checks(base *Report) ([]Check, error) {
+	if r.Scenario != base.Scenario || r.Seed != base.Seed {
+		return nil, fmt.Errorf("report (%s seed %d) and baseline (%s seed %d) are different runs; regenerate the baseline",
+			r.Scenario, r.Seed, base.Scenario, base.Seed)
+	}
+	var out []Check
+	for i := range base.Systems {
+		bs := &base.Systems[i]
+		if bs.Cache == nil {
+			continue
+		}
+		rs := r.System(bs.Name)
+		switch {
+		case rs == nil || rs.Cache == nil:
+			out = append(out, check(false, "%-14s missing from the report (baseline hit %.4f)", bs.Name, bs.Cache.HitRate))
+		case rs.Cache.OverBudget:
+			out = append(out, check(false, "%-14s exceeded its byte budget (max node %d > %d)",
+				rs.Name, rs.Cache.MaxNodeBytes, rs.Cache.BudgetBytes))
+		case rs.Cache.HitRate < bs.Cache.HitRate*(1-cacheMaxRegress):
+			out = append(out, check(false, "%-14s hit rate %.4f fell >%.0f%% below baseline %.4f",
+				rs.Name, rs.Cache.HitRate, cacheMaxRegress*100, bs.Cache.HitRate))
+		default:
+			out = append(out, check(true, "%-14s hit rate %.4f (baseline %.4f)",
+				rs.Name, rs.Cache.HitRate, bs.Cache.HitRate))
+		}
+	}
+	return out, nil
 }
 
 // System returns the named system result, nil when absent.

@@ -10,8 +10,8 @@ package workload
 // schedule offered after the revival instant) and time-to-reabsorb: warm
 // must beat the committed cold figures, and the warm pass must actually
 // recover documents (warm_docs > 0) — otherwise the tier silently did
-// nothing. Wall-clock measurement: NOT deterministic; benchgate applies
-// thresholds, not byte equality.
+// nothing. Wall-clock measurement: NOT deterministic; RestartReport.Checks
+// applies thresholds, not byte equality.
 
 import (
 	"fmt"
@@ -71,13 +71,60 @@ type RestartReport struct {
 	Warm     RestartPassReport `json:"warm"`
 }
 
+// Restart gate thresholds.
+const (
+	restartMinWarmAvailability = 0.981 // warm pass, schedule offered after the revival
+	restartMaxWarmReabsorb     = 0.06  // seconds; relaxed when cold is slower (see Checks)
+)
+
+// Checks gates the warm-restart floor. The warm pass must answer the
+// post-revival schedule, reabsorb promptly, actually recover documents
+// from its journals (otherwise it degenerates to a second cold run), and
+// both passes must revive every victim.
+func (r *RestartReport) Checks(base *RestartReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	// Reabsorb is wall-clock AND quantized by the failure detector: any
+	// single measurement lands anywhere inside one detection window
+	// (HeartbeatMisses silent periods), so the absolute ceiling alone would
+	// flake. A warm pass within one detection window of the same report's
+	// cold pass also passes — that covers both detector quantization and a
+	// loaded CI runner slowing the passes alike — while a genuinely broken
+	// warm path overshoots the window. -1 (never repaired) fails both arms.
+	hb := r.Spec.HeartbeatMS
+	if hb <= 0 {
+		hb = 40 // ChaosSpec.WithDefaults
+	}
+	detectWindow := 3 * float64(hb) / 1000 // default HeartbeatMisses
+	warm, cold := r.Warm, r.Cold
+	warmReabsorbOK := warm.ReabsorbSeconds >= 0 &&
+		(warm.ReabsorbSeconds <= restartMaxWarmReabsorb ||
+			(cold.ReabsorbSeconds >= 0 && warm.ReabsorbSeconds <= cold.ReabsorbSeconds+detectWindow))
+	return []Check{
+		check(warm.PostRestartAvailability >= restartMinWarmAvailability,
+			"warm post-restart availability %.4f (floor %.4f; cold %.4f)",
+			warm.PostRestartAvailability, restartMinWarmAvailability, cold.PostRestartAvailability),
+		check(warmReabsorbOK, "warm reabsorb %.2fs (ceiling %.2fs, cold %.2fs + %.2fs detection window)",
+			warm.ReabsorbSeconds, restartMaxWarmReabsorb, cold.ReabsorbSeconds, detectWindow),
+		check(warm.WarmDocs >= 1,
+			"warm docs recovered %d (journal replay must restore something)", warm.WarmDocs),
+		check(cold.FailedRevives == 0 && warm.FailedRevives == 0,
+			"failed revives cold %d warm %d (every victim must come back)",
+			cold.FailedRevives, warm.FailedRevives),
+	}, nil
+}
+
 // RunRestart executes the cold and warm passes and assembles the report.
 // The log callback (may be nil) receives one line per pass.
-func RunRestart(sp RestartSpec, logf func(format string, args ...any)) (*RestartReport, error) {
+func RunRestart(sp RestartSpec, logf Logf) (*RestartReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario restart: %d nodes, %d docs, %.0f req/s for %.1fs; cache budget %d B, disk budget %d B; killing %.0f%% of interior nodes at %.1fs for %.1fs",
+		sp.Nodes, sp.NumDocs, sp.TotalRate, sp.Duration, sp.CacheBudgetBytes, sp.DiskBudgetBytes,
+		sp.KillFraction*100, sp.KillAt, sp.Downtime)
 	t, docs, sched, killed, err := chaosSetup(sp.ChaosSpec)
 	if err != nil {
 		return nil, err
@@ -107,9 +154,9 @@ func RunRestart(sp RestartSpec, logf func(format string, args ...any)) (*Restart
 		return nil, fmt.Errorf("restart: warm pass: %w", err)
 	}
 	warmRep := restartPassReport(warm)
-	logf("  warm: avail %.4f, post-restart %.4f, reabsorb %.2fs, warm docs %d, disk hits %d",
+	logf("  warm: avail %.4f, post-restart %.4f, reabsorb %.2fs, warm docs %d, disk hits %d, failed revives %d (cold %d)",
 		warmRep.Availability, warmRep.PostRestartAvailability, warmRep.ReabsorbSeconds,
-		warmRep.WarmDocs, warmRep.DiskHits)
+		warmRep.WarmDocs, warmRep.DiskHits, warmRep.FailedRevives, coldRep.FailedRevives)
 
 	return &RestartReport{
 		Schema: RestartSchema, Scenario: "restart", Spec: sp, Killed: killed,

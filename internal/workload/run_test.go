@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -22,11 +24,15 @@ func smallSpec(t *testing.T, name string) Spec {
 
 func reportBytes(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := rep.WriteJSON(&b); err != nil {
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return b.Bytes()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestRunFastDeterministic(t *testing.T) {

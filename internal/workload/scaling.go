@@ -40,9 +40,8 @@ func (s ScalingSpec) WithDefaults() ScalingSpec {
 		s.Nodes = 15
 	}
 	if s.Clients <= 0 {
-		// Matches cmd/webwave-bench's -clients default and the committed
-		// bench/BENCH_scaling_baseline.json spec, which benchgate requires
-		// to agree before comparing curves.
+		// Matches the committed bench/BENCH_scaling_baseline.json spec,
+		// which the gate requires to agree before comparing curves.
 		s.Clients = 16
 	}
 	if s.NumDocs <= 0 {
@@ -112,13 +111,71 @@ func (r *ScalingReport) Run(procs int) *ScalingRun {
 	return nil
 }
 
+// scalingMaxRegress is the largest fractional drop of per-core efficiency
+// below the baseline's, at any common core count, that the gate accepts.
+const scalingMaxRegress = 0.15
+
+// Checks gates the shape of the scaling curve: efficiency — req/s per core
+// normalized by the same sweep's base throughput — must stay within
+// scalingMaxRegress of the baseline at every common core count beyond the
+// base. The normalization makes the gate portable across hardware, so a
+// raw per-core drop is only a warning. Duration is exempt from the
+// workload pin: it sets the sampling window, not the offered pressure, and
+// CI measures a shorter window than the committed baseline.
+func (r *ScalingReport) Checks(base *ScalingReport) ([]Check, error) {
+	if len(r.Spec.Procs) == 0 || len(base.Spec.Procs) == 0 {
+		return nil, fmt.Errorf("scaling report/baseline with empty proc sweep")
+	}
+	rw, bw := r.Spec, base.Spec
+	if rw.Seed != bw.Seed || rw.Nodes != bw.Nodes || rw.Clients != bw.Clients ||
+		rw.NumDocs != bw.NumDocs || rw.BodyBytes != bw.BodyBytes || rw.ZipfSkew != bw.ZipfSkew {
+		return nil, fmt.Errorf("report (seed %d, %d nodes, %d clients, %d docs x %dB, skew %g) and baseline (seed %d, %d nodes, %d clients, %d docs x %dB, skew %g) are different workloads; regenerate the baseline",
+			rw.Seed, rw.Nodes, rw.Clients, rw.NumDocs, rw.BodyBytes, rw.ZipfSkew,
+			bw.Seed, bw.Nodes, bw.Clients, bw.NumDocs, bw.BodyBytes, bw.ZipfSkew)
+	}
+	if rw.Procs[0] != bw.Procs[0] {
+		return nil, fmt.Errorf("report sweep starts at %d procs, baseline at %d; efficiencies are not comparable — regenerate the baseline",
+			rw.Procs[0], bw.Procs[0])
+	}
+	var out []Check
+	checked := 0
+	for _, br := range base.Runs {
+		rr := r.Run(br.Procs)
+		if rr == nil {
+			continue // CI sweeps a subset of the committed baseline's procs
+		}
+		if rr.PerCoreRPS < br.PerCoreRPS*(1-scalingMaxRegress) {
+			out = append(out, Check{Verdict: "warn", Line: fmt.Sprintf(
+				"procs=%d raw %8.0f req/s/core vs baseline %8.0f (different hardware? not gated)",
+				br.Procs, rr.PerCoreRPS, br.PerCoreRPS)})
+		}
+		if br.Procs == bw.Procs[0] {
+			continue // efficiency at the sweep base is 1.0 by definition
+		}
+		checked++
+		if rr.Efficiency < br.Efficiency*(1-scalingMaxRegress) {
+			out = append(out, check(false, "procs=%d efficiency %.4f fell >%.0f%% below baseline %.4f",
+				br.Procs, rr.Efficiency, scalingMaxRegress*100, br.Efficiency))
+		} else {
+			out = append(out, check(true, "procs=%d efficiency %.4f (baseline %.4f, %6.0f req/s/core)",
+				br.Procs, rr.Efficiency, br.Efficiency, rr.PerCoreRPS))
+		}
+	}
+	if checked == 0 {
+		return out, fmt.Errorf("no common core counts beyond the sweep base between report and baseline")
+	}
+	return out, nil
+}
+
 // RunCoreScaling executes the sweep. GOMAXPROCS is set per run and restored
 // before returning; the log callback (may be nil) receives one line per run.
-func RunCoreScaling(sp ScalingSpec, logf func(format string, args ...any)) (*ScalingReport, error) {
+func RunCoreScaling(sp ScalingSpec, logf Logf) (*ScalingReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario core-scaling: %d nodes over TCP loopback, %d closed-loop clients, %d docs x %dB, %.1fs per core count, sweep %v",
+		sp.Nodes, sp.Clients, sp.NumDocs, sp.BodyBytes, sp.Duration, sp.Procs)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -184,6 +241,10 @@ func RunCoreScaling(sp ScalingSpec, logf func(format string, args ...any)) (*Sca
 		if si == 0 || best < rep.SpeedupMaxOverOne {
 			rep.SpeedupMaxOverOne = round6(best)
 		}
+	}
+	logf("  host cores: %d; max speedup over 1 proc: %.2fx", rep.HostProcs, rep.SpeedupMaxOverOne)
+	for _, r := range rep.Runs {
+		logf("  procs=%d shards=%d: eff=%.3f (%6.0f req/s/core)", r.Procs, r.Shards, r.Efficiency, r.PerCoreRPS)
 	}
 	return rep, nil
 }

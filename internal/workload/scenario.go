@@ -1,9 +1,9 @@
 package workload
 
-// Scenarios returns the named benchmark scenarios, in presentation order.
+// TraceSpecs returns the trace-replay scenarios, in presentation order.
 // Each is a complete Spec; callers may override Nodes, Duration or
 // TotalRate before running (the CLI exposes flags for exactly that).
-func Scenarios() []Spec {
+func TraceSpecs() []Spec {
 	return []Spec{
 		{
 			// Steady-state skewed demand: the bread-and-butter hot-document
@@ -114,9 +114,9 @@ func Scenarios() []Spec {
 	}
 }
 
-// Lookup returns the named scenario spec.
+// Lookup returns the named trace-replay spec.
 func Lookup(name string) (Spec, bool) {
-	for _, s := range Scenarios() {
+	for _, s := range TraceSpecs() {
 		if s.Name == name {
 			return s, true
 		}

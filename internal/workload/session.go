@@ -17,8 +17,8 @@ package workload
 // zero here means the harness went soft, not that the system got better).
 //
 // This is a wall-clock live-cluster measurement (NOT deterministic); the CI
-// gate (benchgate -session-report) applies the zero/nonzero checks, not
-// byte equality.
+// gate (SessionReport.Checks) applies the zero/nonzero checks, not byte
+// equality.
 
 import (
 	"fmt"
@@ -113,13 +113,44 @@ type SessionReport struct {
 	DiffusionPeriodS float64 `json:"diffusion_period_s"`
 }
 
+// Checks gates the two-sided read-my-writes shape. The token arm must hold
+// the guarantee absolutely, and the bare arm of the identical schedule must
+// demonstrate the races the tokens close — otherwise the zero proves
+// nothing and the gate fails rather than vacuously passing. The token arm
+// must also have exercised the server-side gate. The baseline pins the
+// spec: fewer rounds, fewer reads per write or a smaller catalog would
+// soften the races.
+func (r *SessionReport) Checks(base *SessionReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	with, without := r.WithTokens, r.WithoutTokens
+	return []Check{
+		check(with.Unanswered == 0 && without.Unanswered == 0,
+			"unanswered reads: with tokens %d, without %d (every session read must be served)",
+			with.Unanswered, without.Unanswered),
+		check(with.Writes >= 1 && without.Writes >= 1,
+			"writes: with tokens %d, without %d (the schedule must actually write)",
+			with.Writes, without.Writes),
+		check(with.Violations == 0,
+			"read-my-writes violations with tokens %d (the guarantee admits no exceptions)", with.Violations),
+		check(without.Violations > 0,
+			"read-my-writes violations without tokens %d over %d rounds (the schedule must provoke the race)",
+			without.Violations, without.ViolationWindows),
+		check(with.SessionRefreshes >= 1,
+			"session refreshes %d (the server-side gate must be exercised, not bypassed)", with.SessionRefreshes),
+	}, nil
+}
+
 // RunSession executes both passes of the session scenario and assembles the
 // report. The log callback (may be nil) receives one line per pass.
-func RunSession(sp SessionSpec, logf func(format string, args ...any)) (*SessionReport, error) {
+func RunSession(sp SessionSpec, logf Logf) (*SessionReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario session: %d subtrees x %d leaves, %d docs, %d rounds x %d reads",
+		sp.Subtrees, sp.LeavesPer, sp.Docs, sp.Rounds, sp.ReadsPerWrite)
 	withTok, err := sessionPass(sp, true)
 	if err != nil {
 		return nil, fmt.Errorf("session: token pass: %w", err)

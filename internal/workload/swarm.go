@@ -15,8 +15,8 @@ package workload
 // counted, so availability measures what the surviving tree actually
 // dropped — in-flight requests lost inside the dying rack — rather than
 // the runner's choice of entry points. Wall-clock measurement: NOT
-// deterministic; the CI gate (benchgate -swarm-report) applies thresholds,
-// not byte equality.
+// deterministic; the CI gate (SwarmReport.Checks) applies thresholds, not
+// byte equality.
 
 import (
 	"fmt"
@@ -200,6 +200,52 @@ type SwarmReport struct {
 	ForcedTeardowns int64 `json:"forced_teardowns"`
 }
 
+// swarmMinAvailability is the served/offered floor under the whole-rack kill.
+const swarmMinAvailability = 0.95
+
+// Checks gates the scale-out floor. The baseline pins the workload shape —
+// racks, rack size, spine depth, rate, kill schedule, detector period — so
+// the scenario cannot be quietly shrunk until it passes; the report must
+// then show the swarm surviving a whole-rack SIGKILL: availability above
+// the floor, the tree repaired and re-whole within the run, duty actually
+// moving, the re-exec provably warm, and the harness itself healthy.
+func (r *SwarmReport) Checks(base *SwarmReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	sp := r.Spec
+	out := []Check{
+		check(r.Nodes == 1+sp.Racks*sp.RackNodes,
+			"%d node processes launched (spec says %d)", r.Nodes, 1+sp.Racks*sp.RackNodes),
+		check(r.Depth == sp.RackDepth+1, "tree depth %d (spec spine %d + root)", r.Depth, sp.RackDepth),
+		check(r.Availability >= swarmMinAvailability,
+			"availability %.4f with rack %d killed (floor %.4f; %d rerouted, %d lost in flight)",
+			r.Availability, sp.KillRack, swarmMinAvailability, r.Rerouted, r.LostInFlight),
+	}
+	if sp.KillRack >= 0 {
+		out = append(out,
+			check(r.RepairSeconds >= 0,
+				"survivors repaired %.2fs after the rack kill (must complete)", r.RepairSeconds),
+			check(r.ReabsorbSeconds >= 0,
+				"tree whole %.2fs after the rack re-exec (must complete)", r.ReabsorbSeconds),
+			check(r.ReclaimedDuty+r.AbsorbedDuty > 0,
+				"duty moved: %.1f req/s reclaimed + %.1f req/s absorbed (a silent kill moves nothing)",
+				r.ReclaimedDuty, r.AbsorbedDuty),
+			check(r.WarmDocs >= 1,
+				"warm docs %d (the re-exec'd rack must recover from its journals)", r.WarmDocs))
+	}
+	// Scrapes are allowed occasional timeouts on a loaded host — that is
+	// what the partial-results design is for — but persistent failure means
+	// the stats path itself is broken.
+	return append(out,
+		check(r.FinalOrphaned == 0, "orphaned at end %d (tree must be repaired)", r.FinalOrphaned),
+		check(r.FailedRevives == 0, "failed revives %d (every re-exec must come back)", r.FailedRevives),
+		check(r.ForcedTeardowns == 0,
+			"forced teardowns %d (every process must drain on SIGTERM)", r.ForcedTeardowns),
+		check(r.ScrapeErrors <= int64(r.Nodes),
+			"scrape errors %d over %d nodes (ceiling one per node)", r.ScrapeErrors, r.Nodes)), nil
+}
+
 // SwarmOptions carries the process-level knobs that are deployment detail,
 // not scenario shape (and so stay out of the spec the baseline pins).
 type SwarmOptions struct {
@@ -220,7 +266,7 @@ type SwarmOptions struct {
 // RunSwarm launches the process tree, plays the schedule with the mid-run
 // rack kill and revival, and assembles the report. The log callback (may be
 // nil) receives progress lines.
-func RunSwarm(sp SwarmSpec, opt SwarmOptions, logf func(format string, args ...any)) (*SwarmReport, error) {
+func RunSwarm(sp SwarmSpec, opt SwarmOptions, logf Logf) (*SwarmReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -22,8 +22,8 @@ package workload
 // serve counter.
 //
 // Both are wall-clock live-cluster measurements (NOT deterministic); the
-// CI gates (benchgate -update-report / -storm-report) apply thresholds,
-// not byte equality.
+// CI gates (UpdateReport.Checks, StormReport.Checks) apply thresholds, not
+// byte equality.
 
 import (
 	"fmt"
@@ -157,14 +157,49 @@ func updateCluster(t *tree.Tree, docs map[core.DocID][]byte, promoteK int) (*clu
 	return cluster.New(t, docs, cfg)
 }
 
+// updateMaxHitRateCost is the largest fractional hit-rate drop of the
+// write mix versus the read-only control that the update gate accepts.
+const updateMaxHitRateCost = 0.10
+
+// Checks gates the mutability floor: the write mix must answer everything,
+// actually write and diffuse, keep p99 response staleness within one
+// diffusion period (read from the report — a write must be visible
+// tree-wide within about one propagation tick), and cost at most
+// updateMaxHitRateCost of the control's hit rate.
+func (r *UpdateReport) Checks(base *UpdateReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	u := r.Update
+	return []Check{
+		check(r.ReadOnly.Unanswered == 0 && u.Unanswered == 0,
+			"unanswered reads: read-only %d, update %d (every request must be served)",
+			r.ReadOnly.Unanswered, u.Unanswered),
+		check(u.Writes >= 1, "writes %d (the mix must actually write)", u.Writes),
+		check(u.Staleness.Samples >= u.Writes,
+			"staleness samples %d over %d writes (post-write responses must be sampled)",
+			u.Staleness.Samples, u.Writes),
+		check(u.RepublishesIn >= 1,
+			"republishes applied %d (writes must diffuse to at least one node)", u.RepublishesIn),
+		check(u.Staleness.P99 <= r.DiffusionPeriodS,
+			"p99 staleness %.4fs (ceiling %.4fs, one diffusion period %.4fs)",
+			u.Staleness.P99, r.DiffusionPeriodS, r.DiffusionPeriodS),
+		check(r.HitRateCost <= updateMaxHitRateCost,
+			"hit-rate cost %.4f of the read-only control (ceiling %.2f; %.4f -> %.4f)",
+			r.HitRateCost, updateMaxHitRateCost, r.ReadOnly.HitRate, u.HitRate),
+	}, nil
+}
+
 // RunUpdate executes the read-only control pass and the write-mix pass on
 // the identical schedule and assembles the report. The log callback (may
 // be nil) receives one line per pass.
-func RunUpdate(sp UpdateSpec, logf func(format string, args ...any)) (*UpdateReport, error) {
+func RunUpdate(sp UpdateSpec, logf Logf) (*UpdateReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario update-heavy: %d nodes, %d docs, %.0f req/s for %.1fs, write fraction %.2f",
+		sp.Nodes, sp.NumDocs, sp.TotalRate, sp.Duration, sp.WriteFraction)
 	rng := rand.New(rand.NewSource(sp.Seed))
 	t, err := tree.RandomBounded(sp.Nodes, 3, rng)
 	if err != nil {
@@ -205,6 +240,8 @@ func RunUpdate(sp UpdateSpec, logf func(format string, args ...any)) (*UpdateRep
 	if control.HitRate > 0 {
 		rep.HitRateCost = round6((control.HitRate - update.HitRate) / control.HitRate)
 	}
+	logf("  hit-rate cost %.4f, staleness p99 %.4fs vs diffusion period %.3fs",
+		rep.HitRateCost, update.Staleness.P99, rep.DiffusionPeriodS)
 	return rep, nil
 }
 
@@ -394,13 +431,54 @@ func starTree(subtrees, leavesPer int) (*tree.Tree, []int) {
 	return tree.MustFromParents(parents), leaves
 }
 
+// Invalidation-storm gate thresholds.
+const (
+	stormMaxOriginFactor    = 4.0 // per-write origin fetches, as a multiple of the subtree count
+	stormMaxForwardFraction = 0.5 // per-write upstream forwards, as a fraction of the client count
+)
+
+// Checks gates the lease collapse: every burst read answered, the leases
+// exercised, the warm-up promotion completed when a forest is configured,
+// and per-write origin load O(subtrees), not O(clients) — no thundering
+// herd. The baseline pins the spec: fewer clients per burst, fewer writes
+// or a longer settle would ease the storm the gate exists to measure.
+func (r *StormReport) Checks(base *StormReport) ([]Check, error) {
+	if err := samePin(r.Spec, base.Spec); err != nil {
+		return nil, err
+	}
+	out := []Check{
+		check(r.Unanswered == 0, "unanswered burst reads %d (every storm read must be served)", r.Unanswered),
+		check(r.Writes >= 1 && r.InvalidationsIn >= 1,
+			"%d writes, %d invalidations applied (the storm must actually invalidate)",
+			r.Writes, r.InvalidationsIn),
+		check(r.LeaseRefreshes >= 1, "lease refreshes %d (the leases must be exercised)", r.LeaseRefreshes),
+	}
+	if r.Spec.K > 1 {
+		out = append(out, check(r.Promotions >= 1,
+			"promotions %d with K=%d (warm-up must raise the forest)", r.Promotions, r.Spec.K))
+	}
+	// Zero origin fetches is legitimate — proactive duty diffusion can
+	// repair the tree before the burst lands — so only the ceiling is gated.
+	originCeiling := stormMaxOriginFactor * float64(r.Spec.Subtrees)
+	forwardCeiling := stormMaxForwardFraction * float64(r.Spec.Clients)
+	return append(out,
+		check(r.PerWriteOriginFetches <= originCeiling,
+			"%.1f origin fetches/write over %d subtrees (ceiling %.1f; %d clients would herd)",
+			r.PerWriteOriginFetches, r.Spec.Subtrees, originCeiling, r.Spec.Clients),
+		check(r.PerWriteForwards <= forwardCeiling,
+			"%.1f upstream forwards/write vs %d clients (ceiling %.1f)",
+			r.PerWriteForwards, r.Spec.Clients, forwardCeiling)), nil
+}
+
 // RunStorm executes the invalidation storm and assembles the report. The
 // log callback (may be nil) receives progress lines.
-func RunStorm(sp StormSpec, logf func(format string, args ...any)) (*StormReport, error) {
+func RunStorm(sp StormSpec, logf Logf) (*StormReport, error) {
 	sp = sp.WithDefaults()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	logf("scenario invalidation-storm: %d subtrees x %d leaves, %d clients per burst, %d writes, K=%d, settle %dms",
+		sp.Subtrees, sp.LeavesPer, sp.Clients, sp.Writes, sp.K, sp.SettleMS)
 	t, leaves := stormTree(sp)
 	const hot = core.DocID("hot")
 	docs := map[core.DocID][]byte{
