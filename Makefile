@@ -162,12 +162,15 @@ $(GATED:%=bench-%-baseline): bench-%-baseline:
 
 bench-swarm bench-swarm-baseline bench-swarm-smoke bench-swarm-smoke-baseline: swarm-bins
 
-# fuzz-smoke runs the wire-codec round-trip fuzzer for a bounded slice of CI
-# time: every frame kind, both codec versions, v2 re-encode byte equality.
-# Corpus finds land in internal/netproto/testdata/fuzz and should be
-# committed.
+# fuzz-smoke runs the fuzzers of untrusted-input parsers for a bounded slice
+# of CI time: the wire-codec round trip (every frame kind, both codec
+# versions, v2 re-encode byte equality) for 30 s, then journal recovery and
+# the gateway's session header for 15 s each. Corpus finds land in each
+# package's testdata/fuzz and should be committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime 30s ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/diskstore/
+	$(GO) test -run '^$$' -fuzz FuzzParseSession -fuzztime 15s ./internal/gateway/
 
 # swarm-bins builds the two binaries the multi-process scenario needs: the
 # node binary every swarm process execs, and the runner that spawns them.

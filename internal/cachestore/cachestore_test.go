@@ -3,6 +3,8 @@ package cachestore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,6 +90,103 @@ func TestLRUVictimOrder(t *testing.T) {
 	evs, ok := s.Put("d", body(100))
 	if !ok || len(evs) != 1 || evs[0].Doc != "b" {
 		t.Fatalf("want eviction of b, got %v ok=%v", evs, ok)
+	}
+}
+
+// TestUnitEntryLRU covers the document-count LRU the simulators build from
+// a store: one stripe, LRU, and a 1-byte body per entry, so the byte budget
+// is a document capacity. Each script is a sequence of "+d" (put), "d"
+// (get) and "-d" (delete); Docs() must list the survivors most recent
+// first.
+func TestUnitEntryLRU(t *testing.T) {
+	many := make([]string, 200)
+	for i := range many {
+		many[i] = fmt.Sprintf("+d%d", i)
+	}
+	for _, tc := range []struct {
+		name    string
+		budget  int64
+		script  []string
+		docs    []core.DocID // nil: only the count in n is checked
+		n       int
+		evicted []core.DocID
+	}{
+		{name: "evicts the least recently used", budget: 2,
+			script: strings.Fields("+a +b a +c"), docs: []core.DocID{"c", "a"}, evicted: []core.DocID{"b"}},
+		{name: "put refreshes recency", budget: 2,
+			script: strings.Fields("+a +b +a +c"), docs: []core.DocID{"c", "a"}, evicted: []core.DocID{"b"}},
+		{name: "docs in most-recent-first order", budget: 3,
+			script: strings.Fields("+a +b +c a"), docs: []core.DocID{"a", "c", "b"}},
+		{name: "delete head and tail", budget: 3,
+			script: strings.Fields("+a +b +c -c -a"), docs: []core.DocID{"b"}},
+		{name: "capacity one", budget: 1,
+			script: strings.Fields("+a +b"), docs: []core.DocID{"b"}, evicted: []core.DocID{"a"}},
+		{name: "unlimited budget keeps everything", budget: 0, script: many, n: len(many)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Shards: 1, Policy: LRU, BudgetBytes: tc.budget})
+			var evicted []core.DocID
+			for _, op := range tc.script {
+				switch op[0] {
+				case '+':
+					evs, ok := s.Put(core.DocID(op[1:]), []byte{0})
+					if !ok {
+						t.Fatalf("%s: put refused", op)
+					}
+					for _, ev := range evs {
+						evicted = append(evicted, ev.Doc)
+					}
+				case '-':
+					s.Delete(core.DocID(op[1:]))
+				default:
+					s.Get(core.DocID(op))
+				}
+			}
+			got := s.Docs()
+			if tc.docs != nil && !slices.Equal(got, tc.docs) {
+				t.Fatalf("Docs() = %v, want %v", got, tc.docs)
+			}
+			if tc.docs == nil && len(got) != tc.n {
+				t.Fatalf("holds %d docs, want %d", len(got), tc.n)
+			}
+			if !slices.Equal(evicted, tc.evicted) {
+				t.Fatalf("evicted %v, want %v", evicted, tc.evicted)
+			}
+		})
+	}
+}
+
+// TestUnitEntryLRURandomized: under random puts, gets and deletes a
+// document-count LRU never holds more than its capacity, and Docs() lists
+// each held document exactly once.
+func TestUnitEntryLRURandomized(t *testing.T) {
+	const capacity = 8
+	rng := rand.New(rand.NewSource(1))
+	s := New(Config{Shards: 1, Policy: LRU, BudgetBytes: capacity})
+	for op := 0; op < 5000; op++ {
+		doc := core.DocID(fmt.Sprintf("d%d", rng.Intn(30)))
+		switch rng.Intn(3) {
+		case 0:
+			s.Put(doc, []byte{0})
+		case 1:
+			s.Get(doc)
+		case 2:
+			s.Delete(doc)
+		}
+		docs := s.Docs()
+		if s.Len() > capacity || s.Bytes() != int64(s.Len()) {
+			t.Fatalf("op %d: len %d, bytes %d (capacity %d)", op, s.Len(), s.Bytes(), capacity)
+		}
+		seen := make(map[core.DocID]bool, len(docs))
+		for _, d := range docs {
+			if seen[d] {
+				t.Fatalf("op %d: %s listed twice in %v", op, d, docs)
+			}
+			seen[d] = true
+		}
+		if len(docs) != s.Len() {
+			t.Fatalf("op %d: Docs() lists %d, Len %d", op, len(docs), s.Len())
+		}
 	}
 }
 

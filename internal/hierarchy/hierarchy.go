@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"webwave/internal/cachestore"
 	"webwave/internal/core"
-	"webwave/internal/lru"
 	"webwave/internal/trace"
 	"webwave/internal/tree"
 )
@@ -52,13 +52,16 @@ type Result struct {
 	CopiesTotal int
 }
 
+// unitBody is the one body every cached entry shares: a single byte, so a
+// cache's byte budget counts documents.
+var unitBody = []byte{0}
+
 // Sim replays sampled requests against a tree of LRU caches.
 type Sim struct {
 	t      *tree.Tree
 	demand *trace.Demand
 	cfg    Config
-	caches []*lru.Cache
-	bodies map[core.DocID][]byte
+	caches []*cachestore.Store
 	served core.Vector
 	hops   []int64
 	reqs   int64
@@ -74,16 +77,14 @@ func NewSim(t *tree.Tree, demand *trace.Demand, cfg Config) (*Sim, error) {
 		t:      t,
 		demand: demand,
 		cfg:    cfg,
-		caches: make([]*lru.Cache, t.Len()),
-		bodies: make(map[core.DocID][]byte, len(demand.Docs)),
+		caches: make([]*cachestore.Store, t.Len()),
 		served: make(core.Vector, t.Len()),
 		hops:   make([]int64, t.Height()+1),
 	}
 	for v := range s.caches {
-		s.caches[v] = lru.New(cfg.CacheCapacity)
-	}
-	for _, d := range demand.Docs {
-		s.bodies[d.ID] = []byte("body:" + string(d.ID))
+		s.caches[v] = cachestore.New(cachestore.Config{
+			Shards: 1, Policy: cachestore.LRU, BudgetBytes: int64(cfg.CacheCapacity),
+		})
 	}
 	return s, nil
 }
@@ -109,10 +110,9 @@ func (s *Sim) Request(origin int, doc core.DocID) (servedAt, hops int) {
 	s.hops[dist]++
 	// Cache on the return path (every node strictly between the server and
 	// the origin, plus the origin itself).
-	body := s.bodies[doc]
 	w := origin
 	for w != v {
-		s.caches[w].Put(doc, body)
+		s.caches[w].Put(doc, unitBody)
 		w = s.t.Parent(w)
 	}
 	return v, dist
@@ -193,4 +193,4 @@ func (s *Sim) result() *Result {
 }
 
 // CacheContents returns node v's cached documents, most recent first.
-func (s *Sim) CacheContents(v int) []core.DocID { return s.caches[v].Keys() }
+func (s *Sim) CacheContents(v int) []core.DocID { return s.caches[v].Docs() }

@@ -272,7 +272,9 @@ type Stats struct {
 	SessionRefreshes int64 `json:"session_refreshes,omitempty"`
 }
 
-// FilterStats mirrors router.Stats for the wire.
+// FilterStats is a node's admission accounting: requests inspected, and of
+// those extracted (served locally, fast-path serves included) or passed
+// toward the home server.
 type FilterStats struct {
 	Inspected int64 `json:"inspected"`
 	Extracted int64 `json:"extracted"`

@@ -8,7 +8,6 @@ import (
 	"webwave/internal/core"
 	"webwave/internal/forest"
 	"webwave/internal/netproto"
-	"webwave/internal/router"
 	"webwave/internal/transport"
 )
 
@@ -655,10 +654,12 @@ func (c *control) tunnel(load float64, snaps []*shardSnap) {
 // snapshot assembles the stats scrape. Counters come from synchronous
 // shard snapshots (cmdSnap forces a fresh drain of the fast-path atomics,
 // so a scrape right after traffic observes it all); queue depths and
-// router/cache figures are read live.
-func (c *control) snapshot() *netproto.Stats {
+// cache figures are read live.
+func (c *control) snapshot() *netproto.Stats { return c.stats(c.freshSnaps()) }
+
+// stats assembles the stats scrape from the given shard snapshots.
+func (c *control) stats(snaps []*shardSnap) *netproto.Stats {
 	s := c.s
-	snaps := c.freshSnaps()
 	st := &netproto.Stats{
 		Node:       s.cfg.ID,
 		Targets:    make(map[core.DocID]float64, 16),
@@ -682,7 +683,6 @@ func (c *control) snapshot() *netproto.Stats {
 		st.Orphaned = 1
 	}
 	st.ShardSnapEpochs = make([]uint64, len(snaps))
-	var rs router.Stats
 	for i, sn := range snaps {
 		if sn == nil {
 			continue
@@ -712,22 +712,20 @@ func (c *control) snapshot() *netproto.Stats {
 		for d, t := range sn.targets {
 			st.Targets[d] = t
 		}
-		// Router state comes from the same snapshot as the duty figures —
-		// never a live read that could be newer than the targets beside it.
-		rs.Inspected += sn.filter.Inspected
-		rs.Extracted += sn.filter.Extracted
-		rs.Passed += sn.filter.Passed
-		st.CachedDocs = append(st.CachedDocs, sn.installed...)
+		// Admission state comes from the same snapshot as the duty
+		// figures — never a live read that could be newer than the targets
+		// beside it.
+		st.FilterStats.Inspected += sn.counters.inspected
+		st.FilterStats.Extracted += sn.counters.extracted
+		st.FilterStats.Passed += sn.counters.passed
+		st.CachedDocs = append(st.CachedDocs, sn.admitted...)
 	}
 	sort.Slice(st.CachedDocs, func(i, j int) bool { return st.CachedDocs[i] < st.CachedDocs[j] })
-	// The publication index is the filter table's lock-free fast lane:
-	// count its serves as inspected-and-extracted packets so filter
-	// accounting still covers every request.
-	st.FilterStats = netproto.FilterStats{
-		Inspected: rs.Inspected + st.FastServed,
-		Extracted: rs.Extracted + st.FastServed,
-		Passed:    rs.Passed,
-	}
+	// The publication index is admission's lock-free fast lane: count its
+	// serves as inspected-and-extracted requests so the accounting still
+	// covers every request.
+	st.FilterStats.Inspected += st.FastServed
+	st.FilterStats.Extracted += st.FastServed
 	st.ShardQueueLens, st.CtrlQueueLen, st.QueueLen = s.queueLens()
 	if s.disk != nil {
 		st.DiskDocs = int64(s.disk.Len())
@@ -748,8 +746,8 @@ func (c *control) snapshot() *netproto.Stats {
 // too backlogged to answer in time. The cap trades a stalled control loop
 // (gossip and diffusion pause while a scrape waits on a wedged shard)
 // against scrape freshness; because every figure in a snapshot — targets,
-// filters, counters — is captured together, a timeout degrades a scrape to
-// uniformly stale, never to torn.
+// admitted copies, counters — is captured together, a timeout degrades a
+// scrape to uniformly stale, never to torn.
 func (c *control) freshSnaps() []*shardSnap {
 	s := c.s
 	reply := make(chan *shardSnap, len(s.shards))

@@ -9,7 +9,7 @@ package server
 //     duty is accepted), so a later memory eviction is free — cachestore's
 //     evictions carry no body.
 //   - A memory eviction whose body is still on disk becomes a spill: the
-//     fast path goes down but the filter and targets stay, and the read
+//     fast path goes down but admission and targets stay, and the read
 //     path serves memory → disk → parent, re-admitting on the first disk
 //     hit. Only when BOTH tiers lose the body does the old teardown (duty
 //     hinted upstream) run.
@@ -49,8 +49,8 @@ func (s *Server) openPersist() error {
 
 // recoverWarm rebuilds cache and duty state from a previous run: for each
 // journaled document whose body survived on disk, re-admit to memory
-// (under the budget; the rest stays disk-resident), reinstall the
-// admission filter and restore the last journaled target and copy
+// (under the budget; the rest stays disk-resident), re-admit the document
+// for extraction and restore the last journaled target and copy
 // version — so a warm restart resumes serving the version it held, and
 // version gating keeps working across the kill. The journal is then
 // compacted to the recovered set, so it stays proportional to the held
@@ -78,7 +78,7 @@ func (s *Server) recoverWarm(state map[core.DocID]diskstore.DocState) {
 		}
 		evs, inMem := s.cache.PutVersion(doc, body, st.Version)
 		sh.applyEvictions(evs) // earlier-recovered docs may spill back to disk-only
-		sh.installFilter(doc)
+		sh.admitted[doc] = struct{}{}
 		if st.Rate > 0 {
 			sh.targets[doc] = st.Rate
 		}

@@ -361,15 +361,16 @@ func (sh *shard) promoteIn(doc core.DocID, rate float64, body []byte, ver uint64
 }
 
 // demoteLocal tears this node's replica down: the same teardown an
-// eviction runs (filter out, publication tombstoned, residual duty hinted
-// upward, where the home's evict handler debits its ledger and re-absorbs).
+// eviction runs (admission withdrawn, publication tombstoned, residual duty
+// hinted upward, where the home's evict handler debits its ledger and
+// re-absorbs).
 // The cached body stays — it is unpinned, so ordinary pressure reclaims
 // it, and a re-promotion shortly after costs no second body transfer.
 func (sh *shard) demoteLocal(doc core.DocID) {
 	if !sh.s.holdsCopy(doc) {
 		return // evicted earlier: the residual already traveled with the hint
 	}
-	sh.rt.Remove(doc)
+	delete(sh.admitted, doc)
 	sh.unpublish(doc)
 	residual := sh.targets[doc]
 	delete(sh.targets, doc)

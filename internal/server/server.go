@@ -13,7 +13,7 @@
 // or stale messages degrade balance, never correctness.
 //
 // The runtime is built for multi-core throughput. Per-document protocol
-// state — admission filters, serve targets, rate windows, response routing,
+// state — admitted copies, serve targets, rate windows, response routing,
 // single-flight tables — is partitioned by hash(doc) across NumShards
 // independent shard loops with no cross-shard locking; a separate control
 // loop owns gossip, diffusion and tunneling, exchanging aggregate heat and
@@ -131,7 +131,7 @@ type Config struct {
 	// unlimited, the paper's idealized assumption). Documents homed at
 	// this server are pinned and exempt: origin copies must survive any
 	// pressure. When a delegated or tunneled copy is displaced, the server
-	// tears down the document's admission filter (requests resume flowing
+	// withdraws the document's admission (requests resume flowing
 	// toward the home server) and hints the eviction to its parent so the
 	// abandoned serve duty is absorbed by a surviving copy upstream.
 	CacheBudgetBytes int64
@@ -290,7 +290,7 @@ const (
 	// cmdPromoteIn (replica side) installs a promoted copy: admit the body,
 	// raise the target by the handed-over rate, arm the fast path.
 	cmdPromoteIn
-	// cmdDemoteLocal (replica side) dissolves a replica copy: filter and
+	// cmdDemoteLocal (replica side) dissolves a replica copy: admission and
 	// publication go down and the residual target is hinted upward, the
 	// same teardown an eviction runs.
 	cmdDemoteLocal
@@ -434,7 +434,7 @@ func New(cfg Config) (*Server, error) {
 		for id, body := range cfg.Docs {
 			s.cache.Pin(id, body) // origin copies are immune to eviction
 			sh := s.shardFor(id)
-			sh.rt.Install(id, nil) // the home extracts everything it owns
+			sh.admitted[id] = struct{}{}
 			sh.publish(id, body, true, 0)
 		}
 	}
@@ -653,9 +653,9 @@ func (s *Server) tryPost(ch chan event, ev event) bool {
 // request then takes the shard queue) on an index miss, a dead entry (an
 // eviction race; the queued path re-checks the store and forwards), or an
 // exhausted admission budget (rate-limited copies fall back to the shard's
-// exact filter). Serve and flow counts accumulate on atomics the owning
-// shard drains into its rate windows each tick, so diffusion sees fast-path
-// demand exactly like queued demand.
+// exact served-rate check). Serve and flow counts accumulate on atomics the
+// owning shard drains into its rate windows each tick, so diffusion sees
+// fast-path demand exactly like queued demand.
 func (s *Server) tryFastServe(sh *shard, env *netproto.Envelope, conn transport.Conn) bool {
 	pm := sh.pub.Load()
 	if pm == nil {

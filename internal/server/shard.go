@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/netproto"
-	"webwave/internal/router"
 	"webwave/internal/transport"
 )
 
@@ -28,7 +28,7 @@ type pubEntry struct {
 	version uint64
 	// always marks an origin (pinned) copy: admitted unconditionally. A
 	// delegated or tunneled copy instead spends credits, the fast-path
-	// stand-in for the shard's rate-limited admission filter.
+	// stand-in for the shard's rate-limited admission decision.
 	always bool
 	// dead is the eviction tombstone: set (possibly by another shard's
 	// Put displacing this copy) the moment the document leaves the store,
@@ -36,7 +36,7 @@ type pubEntry struct {
 	// gets around to unpublishing.
 	dead atomic.Bool
 	// credits is the admission budget for gated copies: the owning shard
-	// refreshes it each tick to the window the exact filter would admit
+	// refreshes it each tick to the window its queued admission would admit
 	// (target − served rate, scaled to the tick); the fast path spends one
 	// per serve and falls back to the shard queue when exhausted.
 	credits atomic.Int64
@@ -96,20 +96,20 @@ type shardSnap struct {
 	served  map[core.DocID]float64         // measured served rates
 	flows   map[int]map[core.DocID]float64 // per sender id; -1 = local demand
 
-	// Router state captured at the same instant as the duty figures, so a
-	// stats scrape served from this snapshot is internally consistent: a
-	// torn-down filter never appears alongside its already-deleted target's
+	// The admitted set is captured at the same instant as the duty figures,
+	// so a stats scrape served from this snapshot is internally consistent:
+	// a torn-down copy never appears alongside its already-deleted target's
 	// stale value, however stale the snapshot itself is.
-	installed []core.DocID
-	filter    router.Stats
+	admitted []core.DocID // sorted
 
 	counters shardCounters
 }
 
-// shardCounters is the loop-owned counter block carried in snapshots.
-// fastServed is captured here right after the snapshot's drain, so a
-// scrape always sees FastServed consistent with (a subset of) Served
-// instead of a live atomic racing ahead of the drained counters.
+// shardCounters is the loop-owned counter block, copied whole into each
+// snapshot. fastServed is the one figure the loop does not own: the
+// snapshot sets it to the cumulative fast-serve count read right before
+// its drain, so a scrape always sees FastServed consistent with (a subset
+// of) Served instead of a live atomic racing ahead of the drained counters.
 type shardCounters struct {
 	served, forwarded, coalesced       int64
 	delegIn, delegOut, shedIn, shedOut int64
@@ -119,6 +119,9 @@ type shardCounters struct {
 	staleDrops, leaseRefreshes         int64
 	sessionRefreshes                   int64
 	reclaimedDuty, absorbedDuty        float64
+	// Queued admission decisions (handleRequest): every queued request is
+	// inspected, then extracted (served here) or passed (forwarded up).
+	inspected, extracted, passed int64
 }
 
 // evictedNote is a cross-shard eviction cleanup request: shard A's Put
@@ -136,8 +139,14 @@ type shard struct {
 	idx    int
 	events chan event
 
-	now         time.Time // loop-owned clock, read once per event batch
-	rt          *router.Router
+	now time.Time // loop-owned clock, read once per event batch
+	// admitted is the set of documents whose queued requests this shard
+	// may extract: the copies it holds duty for and, at the home server,
+	// the documents it publishes. It changes only where a copy is admitted
+	// (admitCopy, warm recovery, origin publication) or its duty torn down
+	// (dropEvicted, demoteLocal); a disk-only spill or a stale body keeps
+	// the document in it.
+	admitted    map[core.DocID]struct{}
 	targets     map[core.DocID]float64
 	served      map[core.DocID]*rateWindow
 	totalServed *rateWindow
@@ -160,9 +169,9 @@ type shard struct {
 	// handoffs (delegations, tunnel replies, promotions, warm recovery),
 	// never by a passing response — so a version first seen on a response
 	// never gets its own write dropped before it reaches the children.
-	// staleDocs marks documents whose body was dropped while their filter
-	// and duty stayed — cleared when a passing response re-admits the fresh
-	// copy (the lease refresh, update.go).
+	// staleDocs marks documents whose body was dropped while their
+	// admission and duty stayed — cleared when a passing response
+	// re-admits the fresh copy (the lease refresh, update.go).
 	docVer      map[core.DocID]uint64
 	gateVer     map[core.DocID]uint64
 	staleDocs   map[core.DocID]bool
@@ -173,15 +182,7 @@ type shard struct {
 	lastSweep time.Time
 	lastReap  time.Time
 
-	// Counters (loop-owned; exported via snapshots).
-	nServed, nForwarded, nCoalesced  int64
-	nDelegIn, nDelegOut              int64
-	nShedIn, nShedOut, nEvictHintsIn int64
-	nDiskHits                        int64
-	nRepublishesIn, nInvalidationsIn int64
-	nStaleDrops, nLeaseRefreshes     int64
-	nSessionRefreshes                int64
-	nReclaimedDuty, nAbsorbedDuty    float64
+	c shardCounters // loop-owned; exported via snapshots
 
 	// jTargets is the last journaled duty per admitted document (persist.go);
 	// nil while the disk tier is disabled. jVers mirrors it for the last
@@ -219,7 +220,7 @@ func newShard(s *Server, idx int) *shard {
 		idx:         idx,
 		events:      make(chan event, cfg.QueueDepth),
 		now:         time.Now(),
-		rt:          router.New(),
+		admitted:    make(map[core.DocID]struct{}, 16),
 		targets:     make(map[core.DocID]float64, 16),
 		served:      make(map[core.DocID]*rateWindow, 16),
 		localFlow:   make(map[core.DocID]*rateWindow, 16),
@@ -349,7 +350,7 @@ func (sh *shard) absorbChildDuty(child int) {
 		}
 		if sh.s.holdsCopy(doc) {
 			sh.targets[doc] += rate
-			sh.nAbsorbedDuty += rate
+			sh.c.absorbedDuty += rate
 			sh.refreshCredit(doc)
 			continue
 		}
@@ -406,7 +407,7 @@ func (sh *shard) parentRestored() {
 	for doc, rate := range stranded {
 		if sh.s.holdsCopy(doc) {
 			sh.targets[doc] += rate
-			sh.nAbsorbedDuty += rate
+			sh.c.absorbedDuty += rate
 			sh.refreshCredit(doc)
 			continue
 		}
@@ -463,7 +464,7 @@ func (sh *shard) dropLedgerDuty(child int, doc core.DocID, rate float64) {
 func (sh *shard) tick() {
 	// Read the cumulative fast-serve counter before the drain: every serve
 	// it covers bumped its entry counter first (program order, seq-cst
-	// atomics), so the drain below folds all of them into nServed and the
+	// atomics), so the drain below folds all of them into c.served and the
 	// snapshot's fastServed stays a subset of its served.
 	fast := sh.nFastServed.Load()
 	sh.drainFast()
@@ -482,8 +483,8 @@ func (sh *shard) tick() {
 }
 
 // drainFast folds the fast path's atomic serve/flow counts into the
-// loop-owned rate windows, so gossip, diffusion and the admission filters
-// see fast-path demand exactly like queued demand. A drained serve also
+// loop-owned rate windows, so gossip, diffusion and queued admission see
+// fast-path demand exactly like queued demand. A drained serve also
 // touches the store once, keeping recency-based eviction policies aware
 // that the document is hot.
 func (sh *shard) drainFast() {
@@ -496,7 +497,7 @@ func (sh *shard) drainFast() {
 func (sh *shard) drainEntry(doc core.DocID, e *pubEntry) {
 	now := sh.now
 	if n := e.served.Swap(0); n > 0 {
-		sh.nServed += n
+		sh.c.served += n
 		sh.totalServed.Add(now, float64(n))
 		sh.servedWindow(doc).Add(now, float64(n))
 		if !e.dead.Load() {
@@ -563,23 +564,14 @@ func (sh *shard) publishSnap(fast int64) {
 		targets:    make(map[core.DocID]float64, len(sh.targets)),
 		served:     make(map[core.DocID]float64, len(sh.served)),
 		flows:      make(map[int]map[core.DocID]float64, len(sh.childFlow)+1),
-		installed:  sh.rt.Installed(),
-		filter:     sh.rt.Stats(),
-		counters: shardCounters{
-			served: sh.nServed, forwarded: sh.nForwarded, coalesced: sh.nCoalesced,
-			delegIn: sh.nDelegIn, delegOut: sh.nDelegOut,
-			shedIn: sh.nShedIn, shedOut: sh.nShedOut,
-			evictHintsIn:     sh.nEvictHintsIn,
-			diskHits:         sh.nDiskHits,
-			republishesIn:    sh.nRepublishesIn,
-			invalidationsIn:  sh.nInvalidationsIn,
-			staleDrops:       sh.nStaleDrops,
-			leaseRefreshes:   sh.nLeaseRefreshes,
-			sessionRefreshes: sh.nSessionRefreshes,
-			fastServed:       fast,
-			reclaimedDuty:    sh.nReclaimedDuty, absorbedDuty: sh.nAbsorbedDuty,
-		},
+		admitted:   make([]core.DocID, 0, len(sh.admitted)),
+		counters:   sh.c,
 	}
+	snap.counters.fastServed = fast
+	for d := range sh.admitted {
+		snap.admitted = append(snap.admitted, d)
+	}
+	slices.Sort(snap.admitted)
 	for d, t := range sh.targets {
 		snap.targets[d] = t
 	}
@@ -750,7 +742,7 @@ func (sh *shard) handle(ev event) {
 		sh.maybeLeaseRefresh(env)
 
 	case netproto.TypeDelegate:
-		sh.nDelegIn++
+		sh.c.delegIn++
 		sh.s.gotDelegate.Store(true)
 		if env.Body != nil {
 			// A copy that does not fit under the byte budget is simply not
@@ -771,7 +763,7 @@ func (sh *shard) handle(ev event) {
 		// Accepted in full in this implementation; nothing to reconcile.
 
 	case netproto.TypeShed:
-		sh.nShedIn++
+		sh.c.shedIn++
 		// Duty coming back up is no longer the sender's: debit its ledger.
 		sh.dropLedgerDuty(env.From, env.Doc, env.Rate)
 		// Pick up shed duty only for documents we hold (either tier);
@@ -786,7 +778,7 @@ func (sh *shard) handle(ev event) {
 		// serve duty it abandoned if we still hold the document; otherwise
 		// the flow simply continues toward the home server, which always
 		// can serve (origin copies are pinned).
-		sh.nEvictHintsIn++
+		sh.c.evictHintsIn++
 		sh.dropLedgerDuty(env.From, env.Doc, env.Rate)
 		if sh.s.holdsCopy(env.Doc) {
 			sh.targets[env.Doc] += env.Rate
@@ -799,7 +791,7 @@ func (sh *shard) handle(ev event) {
 		// the evict-hint path debits — so a later loss of this child
 		// re-absorbs exactly what lives below the repaired edge. The duty
 		// itself stays at the child; nothing is added to our own targets.
-		sh.nReclaimedDuty += env.Rate
+		sh.c.reclaimedDuty += env.Rate
 		sh.dutyLedger(env.From)[env.Doc] += env.Rate
 
 	case netproto.TypeTunnelFetch:
@@ -840,9 +832,9 @@ func (sh *shard) refreshCredit(doc core.DocID) {
 	}
 }
 
-// refreshEntryCredit reloads one gated entry's admission budget to what the
-// exact filter would admit over the next tick: target minus measured served
-// rate, scaled by the tick length (+1 so a barely-lagging copy still
+// refreshEntryCredit reloads one gated entry's admission budget to what
+// queued admission would extract over the next tick: target minus measured
+// served rate, scaled by the tick length (+1 so a barely-lagging copy still
 // serves). Overshoot is bounded by one tick's worth of credits.
 func (sh *shard) refreshEntryCredit(doc core.DocID, e *pubEntry) {
 	if e.always || e.dead.Load() {
@@ -898,10 +890,13 @@ func (sh *shard) sweepStale() {
 	}
 }
 
-// handleRequest implements the queued data path: the shard's router
-// classifies the packet; Extract serves it here, Pass forwards it toward
-// the home server. (Requests the fast path already answered never reach
-// this point.)
+// handleRequest implements the queued data path, the paper's "extract only
+// requests highly likely to hit": the home server answers everything it is
+// asked (its own documents, or NotFound); a cache server extracts a request
+// for an admitted copy while the copy's measured served rate lags its
+// target (with no served window yet, while it has any target) and forwards
+// the rest toward the home server. (Requests the fast path already answered
+// never reach this point.)
 func (sh *shard) handleRequest(ev event) {
 	env := ev.env
 	// Account per-child forwarded flow (A_j^d) when the request came from a
@@ -913,10 +908,21 @@ func (sh *shard) handleRequest(ev event) {
 	if env.MinVersion > sh.docVer[env.Doc] && sh.sessionGate(ev) {
 		return
 	}
-	if sh.rt.Classify(env.Doc) == router.Extract || sh.s.isRoot {
+	sh.c.inspected++
+	extract := sh.s.isRoot
+	if _, ok := sh.admitted[env.Doc]; ok && !extract {
+		if w := sh.served[env.Doc]; w == nil {
+			extract = sh.targets[env.Doc] > 0
+		} else {
+			extract = w.Rate(sh.now) < sh.targets[env.Doc]
+		}
+	}
+	if extract {
+		sh.c.extracted++
 		sh.serveRequest(ev)
 		return
 	}
+	sh.c.passed++
 	sh.forwardUp(ev)
 }
 
@@ -939,7 +945,7 @@ func (sh *shard) sessionGate(ev event) bool {
 		if _, published := sh.s.bodyOf(env.Doc); !published && sh.docVer[env.Doc] == 0 {
 			return false
 		}
-		sh.nSessionRefreshes++
+		sh.c.sessionRefreshes++
 		fl := sh.inflight[env.Doc]
 		if fl == nil {
 			fl = &flight{at: sh.now}
@@ -950,7 +956,7 @@ func (sh *shard) sessionGate(ev event) bool {
 		})
 		return true
 	}
-	sh.nSessionRefreshes++
+	sh.c.sessionRefreshes++
 	if sh.s.holdsCopy(env.Doc) {
 		sh.staleDocs[env.Doc] = true
 	}
@@ -976,7 +982,7 @@ func (sh *shard) forwardUp(ev event) {
 	fl := sh.inflight[env.Doc]
 	if fl != nil && sh.now.Sub(fl.at) < sh.flightRetry {
 		fl.waiters = append(fl.waiters, waiter{origin: env.Origin, reqID: env.ReqID, conn: ev.conn, minVer: env.MinVersion})
-		sh.nCoalesced++
+		sh.c.coalesced++
 		return
 	}
 	if fl == nil {
@@ -984,7 +990,7 @@ func (sh *shard) forwardUp(ev event) {
 		sh.inflight[env.Doc] = fl
 	}
 	fl.at = sh.now
-	sh.nForwarded++
+	sh.c.forwarded++
 	key := pendingKey{origin: env.Origin, reqID: env.ReqID}
 	sh.pending[key] = pendingEntry{conn: ev.conn, at: sh.now, doc: env.Doc, hops: env.Hops, minVer: env.MinVersion}
 	pl := sh.s.parentLink()
@@ -1052,7 +1058,7 @@ func (sh *shard) refetchUnsatisfied(doc core.DocID, ws []waiter) {
 			maxVer = w.minVer
 		}
 	}
-	sh.nForwarded++
+	sh.c.forwarded++
 	sh.pending[pendingKey{origin: lead.origin, reqID: lead.reqID}] = pendingEntry{conn: lead.conn, at: sh.now, doc: doc, minVer: maxVer}
 	pl := sh.s.parentLink()
 	if pl == nil {
@@ -1084,8 +1090,8 @@ func (sh *shard) admit(doc core.DocID, body []byte, ver uint64) bool {
 //
 // For every displaced document: the fast path is cut immediately (the
 // publication tombstone), and the owning shard — usually this one, always
-// this one when the cache striping is aligned — tears down the admission
-// filter so requests resume traveling toward the home server, drops the
+// this one when the cache striping is aligned — withdraws the document's
+// admission so requests resume traveling toward the home server, drops the
 // serve target and rate window, and hints the eviction to the parent with
 // the abandoned target rate so a surviving copy upstream absorbs the duty
 // instead of waiting a diffusion period to notice the imbalance.
@@ -1094,7 +1100,7 @@ func (sh *shard) admitCopy(doc core.DocID, body []byte, ver uint64) bool {
 		// A stale body (a delegation or tunnel reply that raced a
 		// republish): refuse it — admitting it would roll the document
 		// back behind the version the tree has already converged on.
-		sh.nStaleDrops++
+		sh.c.staleDrops++
 		return false
 	}
 	if sh.bumpDocVer(doc, ver) && sh.s.disk != nil {
@@ -1106,7 +1112,7 @@ func (sh *shard) admitCopy(doc core.DocID, body []byte, ver uint64) bool {
 	evs, ok := sh.s.cache.PutVersion(doc, body, ver)
 	sh.applyEvictions(evs)
 	if ok {
-		sh.installFilter(doc)
+		sh.admitted[doc] = struct{}{}
 		sh.publish(doc, body, false, ver)
 		sh.journalAdmit(doc)
 		sh.journalVersion(doc, ver)
@@ -1118,7 +1124,7 @@ func (sh *shard) admitCopy(doc core.DocID, body []byte, ver uint64) bool {
 		// lets a corpus larger than RAM keep serving below the home server.
 		// No publication: the fast path needs an in-memory body; the read
 		// path serves the copy from disk until a hit re-admits it.
-		sh.installFilter(doc)
+		sh.admitted[doc] = struct{}{}
 		sh.journalAdmit(doc)
 		sh.journalVersion(doc, ver)
 		return true
@@ -1143,9 +1149,10 @@ func (sh *shard) applyEvictions(evs []cachestore.Eviction) {
 	}
 }
 
-// dropEvicted is the owner-side eviction cleanup: filter down, publication
-// entry out, duty handed to the parent. Skipped when the document was
-// re-admitted before the cleanup drained (the note is then stale).
+// dropEvicted is the owner-side eviction cleanup: admission withdrawn,
+// publication entry out, duty handed to the parent. Skipped when the
+// document was re-admitted before the cleanup drained (the note is then
+// stale).
 func (sh *shard) dropEvicted(doc core.DocID) {
 	if sh.s.cache.Contains(doc) {
 		// Re-admitted since the note was posted. The evictor's killPub may
@@ -1162,14 +1169,15 @@ func (sh *shard) dropEvicted(doc core.DocID) {
 	}
 	if sh.s.diskHas(doc) {
 		// Spilled, not lost: the disk tier still holds the body (admission
-		// wrote through), so the node keeps the document's duty and filter.
+		// wrote through), so the node keeps the document's duty and stays
+		// admitted.
 		// Only the fast path goes down — it needs an in-memory body — and
 		// the read path serves memory → disk until a hit re-admits it.
 		sh.unpublish(doc)
 		sh.s.nSpills.Add(1)
 		return
 	}
-	sh.rt.Remove(doc)
+	delete(sh.admitted, doc)
 	sh.unpublish(doc)
 	residual := sh.targets[doc]
 	delete(sh.targets, doc)
@@ -1189,19 +1197,19 @@ func (sh *shard) serveRequest(ev event) {
 			// Disk-tier hit: serve the spilled copy and re-admit it to
 			// memory so subsequent requests take the fast path again (the
 			// disk copy stays — bodies are immutable, demotion is free).
-			sh.nDiskHits++
+			sh.c.diskHits++
 			body, ver, cached = dbody, sh.jVers[env.Doc], true
 			sh.readmitFromDisk(env.Doc, body, ver)
 		}
 	}
 	if !cached && !sh.s.isRoot {
-		// The filter extracted a document we no longer hold (install/evict
-		// race); keep the request moving toward the home server.
+		// Extracted a document we no longer hold (admit/evict race); keep
+		// the request moving toward the home server.
 		sh.forwardUp(ev)
 		return
 	}
 	now := sh.now
-	sh.nServed++
+	sh.c.served++
 	sh.totalServed.Add(now, 1)
 	sh.servedWindow(env.Doc).Add(now, 1)
 	resp := netproto.GetEnvelope()
@@ -1229,20 +1237,6 @@ func (sh *shard) readmitFromDisk(doc core.DocID, body []byte, ver uint64) {
 	}
 }
 
-// installFilter wires the admission decision for one cached document: the
-// packet is extracted while the measured served rate lags the target rate.
-// The filter runs on this shard's loop, so it reads the loop-owned clock
-// instead of taking a timestamp per classified packet.
-func (sh *shard) installFilter(doc core.DocID) {
-	sh.rt.Install(doc, router.FilterFunc(func(d core.DocID) bool {
-		w := sh.served[d]
-		if w == nil {
-			return sh.targets[d] > 0
-		}
-		return w.Rate(sh.now) < sh.targets[d]
-	}))
-}
-
 // delegateOut executes one control-loop delegation decision on the owning
 // shard: drop the local target, ship the duty (and body) to the child.
 // Decisions are computed from snapshots and so may be a tick stale; the
@@ -1256,7 +1250,7 @@ func (sh *shard) delegateOut(child int, doc core.DocID, rate float64) {
 	if sh.targets[doc] < 0 {
 		sh.targets[doc] = 0
 	}
-	sh.nDelegOut++
+	sh.c.delegOut++
 	sh.dutyLedger(child)[doc] += rate // credited back if the child sheds or dies
 	body, ver, _ := sh.heldCopy(doc)
 	sh.sendOn(conn, &netproto.Envelope{
@@ -1278,7 +1272,7 @@ func (sh *shard) shedOut(doc core.DocID, rate float64) {
 	if sh.targets[doc] < 0 {
 		sh.targets[doc] = 0
 	}
-	sh.nShedOut++
+	sh.c.shedOut++
 	sh.sendOn(pl.conn, &netproto.Envelope{
 		Kind: netproto.TypeShed, From: sh.s.cfg.ID, To: pl.id,
 		Doc: doc, Rate: rate,

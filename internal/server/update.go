@@ -4,11 +4,11 @@ package server
 //
 // A write enters the tree at the origin (root) as a republish (new body,
 // new version) or an invalidate (version only) and diffuses down the same
-// filter/target edges the duty protocol maintains. Each node version-gates
+// admission/target edges the duty protocol maintains. Each node version-gates
 // the frame against its per-document high-water mark, so duplicates and
 // reordered stale frames are dropped, never applied. A copy-holding node
 // either swaps the new body into both tiers in place (republish) or drops
-// the stale body while KEEPING its admission filter, targets and duty
+// the stale body while KEEPING its admission, targets and duty
 // (invalidate) — requests then miss locally and travel upward through the
 // existing single-flight table, which acts as the subtree's lease: however
 // many clients storm a freshly invalidated document, one fetch per shard
@@ -44,7 +44,7 @@ func (sh *shard) bumpDocVer(doc core.DocID, ver uint64) bool {
 // if not, the write only diffuses.
 func (sh *shard) gateWrite(doc core.DocID, ver uint64) (apply, newer bool) {
 	if ver <= sh.gateVer[doc] {
-		sh.nStaleDrops++
+		sh.c.staleDrops++
 		return false, false
 	}
 	sh.gateVer[doc] = ver
@@ -59,7 +59,7 @@ func (sh *shard) handleRepublish(env *netproto.Envelope) {
 	if !apply {
 		return
 	}
-	sh.nRepublishesIn++
+	sh.c.republishesIn++
 	var body []byte
 	if len(env.Body) > 0 {
 		body = env.Body // safe to retain: recycled envelopes drop, never reuse, Body
@@ -85,7 +85,7 @@ func (sh *shard) replaceCopy(doc core.DocID, body []byte, ver uint64) {
 }
 
 // handleInvalidate applies one version-only write: gate, drop any local
-// stale copy (duty and filter stay), diffuse version-only frames down. At
+// stale copy (duty and admission stay), diffuse version-only frames down. At
 // the origin an injected invalidate may carry the new body — the root must
 // always serve the latest version — but it never travels further.
 func (sh *shard) handleInvalidate(env *netproto.Envelope) {
@@ -94,7 +94,7 @@ func (sh *shard) handleInvalidate(env *netproto.Envelope) {
 	if !apply {
 		return
 	}
-	sh.nInvalidationsIn++
+	sh.c.invalidationsIn++
 	switch {
 	case !newer:
 	case sh.s.isRoot && len(env.Body) > 0:
@@ -120,12 +120,12 @@ func (sh *shard) originWrite(doc core.DocID, body []byte, ver uint64) {
 	if !sh.s.cache.PinVersion(doc, body, ver) {
 		return
 	}
-	sh.rt.Install(doc, nil) // the home extracts everything it owns
+	sh.admitted[doc] = struct{}{}
 	sh.publish(doc, body, true, ver)
 }
 
 // refreshCopy swaps a republished body into both tiers in place, keeping
-// the document's filter, targets and duty exactly as they were — a
+// the document's admission, targets and duty exactly as they were — a
 // republish moves data, not duty. Reports whether at least one tier holds
 // the new body.
 func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
@@ -149,7 +149,7 @@ func (sh *shard) refreshCopy(doc core.DocID, body []byte, ver uint64) bool {
 }
 
 // invalidateLocal drops the stale body from both tiers while keeping the
-// document's admission filter, targets and duty. Requests now miss locally
+// document's admission, targets and duty. Requests now miss locally
 // and travel upward through the single-flight table — the lease — and the
 // response re-admits the fresh copy (maybeLeaseRefresh).
 func (sh *shard) invalidateLocal(doc core.DocID) {
@@ -205,7 +205,7 @@ func (sh *shard) maybeLeaseRefresh(env *netproto.Envelope) {
 	}
 	if sh.admitCopy(env.Doc, env.Body, env.DocVersion) {
 		delete(sh.staleDocs, env.Doc)
-		sh.nLeaseRefreshes++
+		sh.c.leaseRefreshes++
 		sh.refreshCredit(env.Doc)
 	}
 }
@@ -231,7 +231,7 @@ func (sh *shard) answerParked(doc core.DocID) {
 			kept = append(kept, w)
 			continue
 		}
-		sh.nServed++
+		sh.c.served++
 		sh.totalServed.Add(sh.now, 1)
 		sh.servedWindow(doc).Add(sh.now, 1)
 		*out = netproto.Envelope{

@@ -9,7 +9,6 @@ import (
 	"webwave/internal/cachestore"
 	"webwave/internal/core"
 	"webwave/internal/docwave"
-	"webwave/internal/lru"
 	"webwave/internal/sim"
 	"webwave/internal/trace"
 	"webwave/internal/tree"
@@ -328,11 +327,14 @@ func (r *noCacheReplayer) place(req trace.Request, down []bool, _ *rand.Rand) (i
 
 // ---------------------------------------------------------------------------
 
+// unitBody is the one body every path-LRU entry shares.
+var unitBody = []byte{0}
+
 // pathLRUReplayer is en-route caching: serve at the first path node holding
 // the document, then install it at every node the response passes.
 type pathLRUReplayer struct {
 	t      *tree.Tree
-	caches []*lru.Cache
+	caches []*cachestore.Store
 }
 
 func newPathLRUReplayer(sp Spec, t *tree.Tree) *pathLRUReplayer {
@@ -340,10 +342,14 @@ func newPathLRUReplayer(sp Spec, t *tree.Tree) *pathLRUReplayer {
 	if cap <= 0 {
 		cap = 8
 	}
-	caches := make([]*lru.Cache, t.Len())
+	caches := make([]*cachestore.Store, t.Len())
 	for v := range caches {
 		if v != t.Root() {
-			caches[v] = lru.New(cap)
+			// One stripe and a 1-byte body per entry: the byte budget
+			// counts documents.
+			caches[v] = cachestore.New(cachestore.Config{
+				Shards: 1, Policy: cachestore.LRU, BudgetBytes: int64(cap),
+			})
 		}
 	}
 	return &pathLRUReplayer{t: t, caches: caches}
@@ -374,7 +380,7 @@ func (r *pathLRUReplayer) place(req trace.Request, down []bool, _ *rand.Rand) (i
 	for i := 0; i < hops; i++ {
 		v := path[i]
 		if v != r.t.Root() && !down[v] {
-			r.caches[v].Put(req.Doc, nil)
+			r.caches[v].Put(req.Doc, unitBody)
 		}
 	}
 	return served, hops, true
